@@ -17,6 +17,13 @@ cheap to compare:
 A Lie element (finite linear combination of basis elements) is a dict
 mapping basis element to Fraction with no zero values.
 
+Each family is one Family entry of the table _FAMILIES: its command-line
+name, rank rule, element kinds with their validity predicates, grading,
+total order, least degree, graded components and bracket.  The public
+functions below look the family up there and do nothing family-specific
+themselves.  Each element kind has one token grammar in ELEMENT_GRAMMAR,
+from which element_to_str prints a name and textio parses it back.
+
 Each algebra's total basis order (see order_key) sorts by degree first.
 Within a degree of S_n every ShapeA element lies above every ShapeB
 element, matching H_2's order under S_2 = H_2.
@@ -24,9 +31,9 @@ element, matching H_2's order under S_2 = H_2.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 BasisElement = tuple
 LieElement = dict
@@ -41,9 +48,6 @@ HAMILTONIAN_H = "HamiltonianH"
 CONTACT_K = "ContactK"
 LOOP_SL2 = "LoopSl2"
 EXAMPLE_D = "ExampleD"
-
-_PARAMETRIC = {CARTAN_W, SPECIAL_S, HAMILTONIAN_H, CONTACT_K}
-_FAMILIES = {WITT, WITT_POS, CARTAN_W1, VIRASORO, LOOP_SL2, EXAMPLE_D} | _PARAMETRIC
 
 
 class InvalidElement(ValueError):
@@ -62,17 +66,33 @@ class AlgebraSpec:
     n: int | None = None
 
     def __post_init__(self):
-        if self.family not in _FAMILIES:
+        fam = _FAMILIES.get(self.family)
+        if fam is None:
             raise ValueError("unknown algebra family: %r" % (self.family,))
-        if self.family in _PARAMETRIC:
-            if self.n is None or self.n < 2:
-                raise ValueError("%s requires a rank n >= 2" % self.family)
-            if self.family == HAMILTONIAN_H and self.n % 2 != 0:
-                raise ValueError("HamiltonianH requires even rank")
-            if self.family == CONTACT_K and (self.n % 2 != 1 or self.n < 3):
-                raise ValueError("ContactK requires odd rank >= 3")
-        elif self.n is not None:
-            raise ValueError("%s takes no rank parameter" % self.family)
+        if fam.rank is None:
+            if self.n is not None:
+                raise ValueError("%s takes no rank parameter" % self.family)
+        elif self.n is None or not fam.rank[0](self.n):
+            raise ValueError("%s requires %s" % (self.family, fam.rank[1]))
+
+
+class Family(NamedTuple):
+    """One family of built-in algebras, as data.
+
+    Every callable but the rank predicate takes the AlgebraSpec first.
+    `kinds` maps each element kind of the family to its validity predicate
+    (alg, b), which is only asked about tuples headed by that kind.
+    order_key(alg, b) is (degree(alg, b),) + tail(alg, b).
+    """
+
+    cli: str                    # command-line name; ranked ones add ":n"
+    kinds: dict
+    degree: Callable
+    component: Callable         # (alg, d) -> basis elements of degree d
+    bracket: Callable           # (alg, a, b) -> LieElement
+    rank: tuple | None = None   # (predicate on n, its wording), None if unranked
+    tail: Callable = lambda alg, b: ()
+    min_degree: int | None = None  # None if unbounded below
 
 
 def e(n):
@@ -121,97 +141,33 @@ def _is_index(i, n):
     )
 
 
+def _int_field(b):
+    """b is (kind, integer)."""
+    return len(b) == 2 and isinstance(b[1], int)
+
+
+def _index_field(alg, b):
+    """b is (kind, multi-index of length alg.n)."""
+    return len(b) == 2 and _is_index(b[1], alg.n)
+
+
+def _index_and_k(alg, b, lo):
+    """b is (kind, multi-index of length alg.n, k) with lo <= k <= alg.n."""
+    return len(b) == 3 and _is_index(b[1], alg.n) and isinstance(b[2], int) and lo <= b[2] <= alg.n
+
+
 def validate_element(alg, b):
     """Raise InvalidElement unless b is a basis element of alg."""
-    fam = alg.family
-    ok = False
-    if fam in (WITT, WITT_POS, CARTAN_W1, VIRASORO):
-        if isinstance(b, tuple) and len(b) == 2 and b[0] == "e" and isinstance(b[1], int):
-            n = b[1]
-            ok = (
-                fam == WITT
-                or fam == VIRASORO
-                or (fam == WITT_POS and n >= 1)
-                or (fam == CARTAN_W1 and n >= -1)
-            )
-        elif b == Z:
-            ok = fam == VIRASORO
-    elif fam == CARTAN_W:
-        ok = (
-            isinstance(b, tuple)
-            and len(b) == 3
-            and b[0] == "w"
-            and _is_index(b[1], alg.n)
-            and isinstance(b[2], int)
-            and 1 <= b[2] <= alg.n
-        )
-    elif fam == SPECIAL_S:
-        if isinstance(b, tuple) and b[0] == "sa" and len(b) == 2:
-            ok = _is_index(b[1], alg.n) and b[1][0] == 0
-        elif isinstance(b, tuple) and b[0] == "sb" and len(b) == 3:
-            ok = (
-                _is_index(b[1], alg.n)
-                and b[1][0] >= 1
-                and isinstance(b[2], int)
-                and 2 <= b[2] <= alg.n
-            )
-    elif fam == HAMILTONIAN_H:
-        ok = (
-            isinstance(b, tuple)
-            and len(b) == 2
-            and b[0] == "dh"
-            and _is_index(b[1], alg.n)
-            and any(b[1])
-        )
-    elif fam == CONTACT_K:
-        ok = (
-            isinstance(b, tuple)
-            and len(b) == 2
-            and b[0] == "dk"
-            and _is_index(b[1], alg.n)
-        )
-    elif fam == LOOP_SL2:
-        ok = (
-            isinstance(b, tuple)
-            and len(b) == 2
-            and b[0] in ("E", "F", "H")
-            and isinstance(b[1], int)
-        )
-    elif fam == EXAMPLE_D:
-        if b == Y:
-            ok = True
-        else:
-            ok = (
-                isinstance(b, tuple)
-                and len(b) == 2
-                and b[0] == "x"
-                and isinstance(b[1], int)
-                and b[1] >= 1
-            )
-    if not ok:
+    kinds = _FAMILIES[alg.family].kinds
+    valid = isinstance(b, tuple) and b and isinstance(b[0], str) and kinds.get(b[0])
+    if not (valid and valid(alg, b)):
         raise InvalidElement("not a basis element of %s: %r" % (alg, b))
     return b
 
 
 def degree(alg, b):
     """Integer degree of a basis element under the algebra's grading."""
-    fam = alg.family
-    if fam in (WITT, WITT_POS, CARTAN_W1, VIRASORO):
-        return 0 if b == Z else b[1]
-    if fam == CARTAN_W:
-        return sum(b[1]) - 1
-    if fam == SPECIAL_S:
-        return sum(b[1]) - 1 if b[0] == "sa" else sum(b[1]) - 2
-    if fam == HAMILTONIAN_H:
-        return sum(b[1]) - 2
-    if fam == CONTACT_K:
-        i = b[1]
-        return sum(i[:-1]) + 2 * i[-1] - 2
-    if fam == LOOP_SL2:
-        root, p = b
-        return 3 * p + {"E": 1, "F": -1, "H": 0}[root]
-    # EXAMPLE_D
-    return 1 if b == Y else b[1]
+    return _FAMILIES[alg.family].degree(alg, b)
 
 
 def order_key(alg, b):
@@ -225,21 +181,8 @@ def order_key(alg, b):
     isomorphism SA[0,j] -> DH[0,j+1], SB[i;2] -> DH[i] (it preserves
     bracket supports), and with it S_2 satisfies (†)(b) as H_2 does.
     """
-    fam = alg.family
-    d = degree(alg, b)
-    if fam == VIRASORO:
-        return (d, 0 if b == Z else 1)
-    if fam == CARTAN_W:
-        return (d, b[2]) + tuple(reversed(b[1]))
-    if fam == SPECIAL_S:
-        if b[0] == "sa":
-            return (d, alg.n + 1) + tuple(reversed(b[1][1:]))
-        return (d, b[2]) + tuple(reversed(b[1]))
-    if fam in (HAMILTONIAN_H, CONTACT_K):
-        return (d,) + tuple(reversed(b[1]))
-    if fam == EXAMPLE_D:
-        return (d, 1 if b == Y else 0)
-    return (d,)
+    fam = _FAMILIES[alg.family]
+    return (fam.degree(alg, b),) + fam.tail(alg, b)
 
 
 def compare_basis(alg, a, b):
@@ -250,14 +193,7 @@ def compare_basis(alg, a, b):
 
 def min_degree(alg):
     """Least degree of any basis element, or None if unbounded below."""
-    fam = alg.family
-    if fam in (WITT_POS, EXAMPLE_D):
-        return 1
-    if fam in (CARTAN_W1, CARTAN_W, SPECIAL_S, HAMILTONIAN_H):
-        return -1
-    if fam == CONTACT_K:
-        return -2
-    return None
+    return _FAMILIES[alg.family].min_degree
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +248,6 @@ def _w_bracket(n, i, k, j, m):
 
 def sb_expand(alg, i, k):
     """ShapeB element of S_n written in W_n coordinates."""
-    n = alg.n
     out = {}
     if i[k - 1]:
         out[("w", _sub_unit(i, k), 1)] = Fraction(i[k - 1])
@@ -355,81 +290,79 @@ def sn_project(alg, v):
     return {b: c for b, c in out.items() if c}
 
 
-def _h_bracket(alg, i, j):
-    n = alg.n
-    m = n // 2
-    poly = {}
-    for l in range(1, m + 1):
-        c = i[m + l - 1] * j[l - 1] - i[l - 1] * j[m + l - 1]
-        if c:
-            u = _sub_unit(_sub_unit(_add(i, j), l), m + l)
-            poly[u] = poly.get(u, 0) + c
+def _s_bracket(alg, a, b):
+    """Bracket of S_n, computed in W_n and projected back."""
     out = {}
-    for u, c in poly.items():
-        if c and any(u):
-            out[("dh", u)] = Fraction(c)
-    return out
+    for (_, i, k), ca in sn_expand(alg, a).items():
+        for (_, j, m), cb in sn_expand(alg, b).items():
+            lie_add(out, _w_bracket(alg.n, i, k, j, m), ca * cb)
+    return sn_project(alg, out)
 
 
-def _k_bracket(alg, i, j):
-    n = alg.n
-    m = (n - 1) // 2
+def _symplectic(i, j, m):
+    """Poisson bracket of x^i and x^j in the pairs (x_l, x_{m+l}), l <= m,
+    as {exponent: coefficient}."""
     poly = {}
     for l in range(1, m + 1):
         c = i[m + l - 1] * j[l - 1] - i[l - 1] * j[m + l - 1]
         if c:
             u = _sub_unit(_sub_unit(_add(i, j), l), m + l)
             poly[u] = poly.get(u, 0) + c
+    return poly
+
+
+def _h_bracket(alg, a, b):
+    poly = _symplectic(a[1], b[1], alg.n // 2)
+    return {("dh", u): Fraction(c) for u, c in poly.items() if c and any(u)}
+
+
+def _k_bracket(alg, a, b):
+    i, j = a[1], b[1]
+    poly = _symplectic(i, j, (alg.n - 1) // 2)
     c = i[-1] * sum(j[:-1]) - j[-1] * sum(i[:-1]) + 2 * (j[-1] - i[-1])
     if c:
-        u = _sub_unit(_add(i, j), n)
+        u = _sub_unit(_add(i, j), alg.n)
         poly[u] = poly.get(u, 0) + c
     return {("dk", u): Fraction(c) for u, c in poly.items() if c}
 
 
+def _witt_bracket(alg, a, b):
+    n, m = a[1], b[1]
+    return _one_term(e(n + m), m - n)
+
+
+def _virasoro_bracket(alg, a, b):
+    if a == Z or b == Z:
+        return {}
+    out = _witt_bracket(alg, a, b)
+    n = a[1]
+    if n + b[1] == 0:
+        lie_add(out, _one_term(Z, Fraction(n**3 - n, 12)))
+    return out
+
+
 _SL2 = {
-    ("E", "F"): [("H", 1)],
-    ("F", "E"): [("H", -1)],
-    ("H", "E"): [("E", 2)],
-    ("E", "H"): [("E", -2)],
-    ("H", "F"): [("F", -2)],
-    ("F", "H"): [("F", 2)],
+    ("E", "F"): ("H", 1), ("F", "E"): ("H", -1), ("H", "E"): ("E", 2),
+    ("E", "H"): ("E", -2), ("H", "F"): ("F", -2), ("F", "H"): ("F", 2),
 }
 
 
-def bracket_basis(alg, a, b):
-    """Lie bracket [a, b] of two basis elements as a LieElement."""
-    fam = alg.family
-    if fam in (WITT, WITT_POS, CARTAN_W1):
-        n, m = a[1], b[1]
-        return _one_term(e(n + m), m - n)
-    if fam == VIRASORO:
-        if a == Z or b == Z:
-            return {}
-        n, m = a[1], b[1]
-        out = _one_term(e(n + m), m - n)
-        if n + m == 0:
-            lie_add(out, _one_term(Z, Fraction(n**3 - n, 12)))
-        return out
-    if fam == CARTAN_W:
-        return _w_bracket(alg.n, a[1], a[2], b[1], b[2])
-    if fam == SPECIAL_S:
-        amb = AlgebraSpec(CARTAN_W, alg.n)
-        va, vb = sn_expand(alg, a), sn_expand(alg, b)
-        return sn_project(alg, bracket_lie(amb, va, vb))
-    if fam == HAMILTONIAN_H:
-        return _h_bracket(alg, a[1], b[1])
-    if fam == CONTACT_K:
-        return _k_bracket(alg, a[1], b[1])
-    if fam == LOOP_SL2:
-        terms = _SL2.get((a[0], b[0]), [])
-        return lie_add({}, {(r, a[1] + b[1]): Fraction(c) for r, c in terms})
-    # EXAMPLE_D
+def _sl2_bracket(alg, a, b):
+    root, c = _SL2.get((a[0], b[0]), (None, 0))
+    return _one_term((root, a[1] + b[1]), c)
+
+
+def _example_d_bracket(alg, a, b):
     if a == Y and b != Y:
         return _one_term(x(b[1] + 1), 1)
     if b == Y and a != Y:
         return _one_term(x(a[1] + 1), -1)
     return {}
+
+
+def bracket_basis(alg, a, b):
+    """Lie bracket [a, b] of two basis elements as a LieElement."""
+    return _FAMILIES[alg.family].bracket(alg, a, b)
 
 
 def bracket_lie(alg, u, v):
@@ -462,55 +395,30 @@ def jacobi_residual(alg, a, b, c):
 def _compositions(total, n):
     """All length-n tuples of naturals summing to total, lexicographically."""
     if n == 1:
-        yield (total,)
+        if total >= 0:
+            yield (total,)
         return
     for first in range(total + 1):
         for rest in _compositions(total - first, n - 1):
             yield (first,) + rest
 
 
+def _s_component(alg, d):
+    n = alg.n
+    out = [("sa", (0,) + r) for r in _compositions(d + 1, n - 1)]
+    return out + [
+        ("sb", i, k) for i in _compositions(d + 2, n) if i[0] >= 1 for k in range(2, n + 1)
+    ]
+
+
+def _sl2_component(alg, d):
+    q, r = divmod(d, 3)
+    return [("H", q)] if r == 0 else [("E", q)] if r == 1 else [("F", q + 1)]
+
+
 def enumerate_component(alg, d):
     """All basis elements of degree d, sorted by the basis order."""
-    fam = alg.family
-    out = []
-    if fam == WITT:
-        out = [e(d)]
-    elif fam == WITT_POS:
-        out = [e(d)] if d >= 1 else []
-    elif fam == CARTAN_W1:
-        out = [e(d)] if d >= -1 else []
-    elif fam == VIRASORO:
-        out = [Z, e(0)] if d == 0 else [e(d)]
-    elif fam == CARTAN_W:
-        if d + 1 >= 0:
-            out = [("w", i, k) for i in _compositions(d + 1, alg.n) for k in range(1, alg.n + 1)]
-    elif fam == SPECIAL_S:
-        if d + 1 >= 0:
-            out += [("sa", (0,) + r) for r in _compositions(d + 1, alg.n - 1)]
-        if d + 2 >= 1:
-            out += [
-                ("sb", i, k)
-                for i in _compositions(d + 2, alg.n)
-                if i[0] >= 1
-                for k in range(2, alg.n + 1)
-            ]
-    elif fam == HAMILTONIAN_H:
-        if d + 2 >= 1:
-            out = [("dh", i) for i in _compositions(d + 2, alg.n)]
-    elif fam == CONTACT_K:
-        if d + 2 >= 0:
-            for t in range(0, (d + 2) // 2 + 1):
-                out += [
-                    ("dk", i + (t,)) for i in _compositions(d + 2 - 2 * t, alg.n - 1)
-                ]
-    elif fam == LOOP_SL2:
-        q, r = divmod(d, 3)
-        out = [("H", q)] if r == 0 else [("E", q)] if r == 1 else [("F", q + 1)]
-    else:  # EXAMPLE_D
-        if d == 1:
-            out = [x(1), Y]
-        elif d >= 2:
-            out = [x(d)]
+    out = _FAMILIES[alg.family].component(alg, d)
     return sorted(out, key=lambda b: order_key(alg, b))
 
 
@@ -523,67 +431,166 @@ def elements_in_window(alg, lo, hi):
 
 
 # ---------------------------------------------------------------------------
-# Canonical element names
+# The families
+
+
+def _e_family(cli, floor):
+    """Witt-type family spanned by the e_n with n >= floor (None: all n)."""
+    return Family(
+        cli=cli,
+        kinds={"e": lambda alg, b: _int_field(b) and (floor is None or b[1] >= floor)},
+        degree=lambda alg, b: b[1],
+        min_degree=floor,
+        component=lambda alg, d: [e(d)] if floor is None or d >= floor else [],
+        bracket=_witt_bracket,
+    )
+
+
+_RANK_2 = (lambda n: n >= 2, "a rank n >= 2")
+
+_FAMILIES = {
+    WITT: _e_family("witt", None),
+    WITT_POS: _e_family("witt+", 1),
+    CARTAN_W1: _e_family("w1", -1),
+    VIRASORO: Family(
+        cli="virasoro",
+        kinds={"e": lambda alg, b: _int_field(b), "z": lambda alg, b: len(b) == 1},
+        degree=lambda alg, b: 0 if b == Z else b[1],
+        tail=lambda alg, b: (0 if b == Z else 1,),
+        component=lambda alg, d: [Z, e(0)] if d == 0 else [e(d)],
+        bracket=_virasoro_bracket,
+    ),
+    CARTAN_W: Family(
+        cli="cartan-w",
+        rank=_RANK_2,
+        kinds={"w": lambda alg, b: _index_and_k(alg, b, 1)},
+        degree=lambda alg, b: sum(b[1]) - 1,
+        tail=lambda alg, b: (b[2],) + tuple(reversed(b[1])),
+        min_degree=-1,
+        component=lambda alg, d: [
+            ("w", i, k) for i in _compositions(d + 1, alg.n) for k in range(1, alg.n + 1)
+        ],
+        bracket=lambda alg, a, b: _w_bracket(alg.n, a[1], a[2], b[1], b[2]),
+    ),
+    SPECIAL_S: Family(
+        cli="special-s",
+        rank=_RANK_2,
+        kinds={
+            "sa": lambda alg, b: _index_field(alg, b) and b[1][0] == 0,
+            "sb": lambda alg, b: _index_and_k(alg, b, 2) and b[1][0] >= 1,
+        },
+        degree=lambda alg, b: sum(b[1]) - (1 if b[0] == "sa" else 2),
+        tail=lambda alg, b: (
+            (alg.n + 1,) + tuple(reversed(b[1][1:]))
+            if b[0] == "sa"
+            else (b[2],) + tuple(reversed(b[1]))
+        ),
+        min_degree=-1,
+        component=_s_component,
+        bracket=_s_bracket,
+    ),
+    HAMILTONIAN_H: Family(
+        cli="hamiltonian",
+        rank=(lambda n: n >= 2 and n % 2 == 0, "an even rank n >= 2"),
+        kinds={"dh": lambda alg, b: _index_field(alg, b) and any(b[1])},
+        degree=lambda alg, b: sum(b[1]) - 2,
+        tail=lambda alg, b: tuple(reversed(b[1])),
+        min_degree=-1,
+        component=lambda alg, d: [("dh", i) for i in _compositions(d + 2, alg.n) if any(i)],
+        bracket=_h_bracket,
+    ),
+    CONTACT_K: Family(
+        cli="contact",
+        rank=(lambda n: n >= 3 and n % 2 == 1, "an odd rank n >= 3"),
+        kinds={"dk": _index_field},
+        degree=lambda alg, b: sum(b[1][:-1]) + 2 * b[1][-1] - 2,
+        tail=lambda alg, b: tuple(reversed(b[1])),
+        min_degree=-2,
+        component=lambda alg, d: [
+            ("dk", i + (t,))
+            for t in range((d + 2) // 2 + 1)
+            for i in _compositions(d + 2 - 2 * t, alg.n - 1)
+        ],
+        bracket=_k_bracket,
+    ),
+    LOOP_SL2: Family(
+        cli="loop-sl2",
+        kinds=dict.fromkeys("EFH", lambda alg, b: _int_field(b)),
+        degree=lambda alg, b: 3 * b[1] + {"E": 1, "F": -1, "H": 0}[b[0]],
+        component=_sl2_component,
+        bracket=_sl2_bracket,
+    ),
+    EXAMPLE_D: Family(
+        cli="example-d",
+        kinds={"x": lambda alg, b: _int_field(b) and b[1] >= 1, "y": lambda alg, b: len(b) == 1},
+        degree=lambda alg, b: 1 if b == Y else b[1],
+        tail=lambda alg, b: (1 if b == Y else 0,),
+        min_degree=1,
+        component=lambda alg, d: [x(1), Y] if d == 1 else [x(d)] if d >= 2 else [],
+        bracket=_example_d_bracket,
+    ),
+}
+
+
+# ---------------------------------------------------------------------------
+# Canonical names
+
+# The grammar of each element kind's printed name: literal tokens, INT for
+# an integer field and IDX for a comma-separated multi-index field, the
+# fields in the order they follow the kind in the element tuple.
+INT = "<int>"
+IDX = "<index>"
+
+ELEMENT_GRAMMAR = {
+    "e": ("e", "[", INT, "]"),
+    "z": ("z",),
+    "w": ("x", "[", IDX, "]", "d", "[", INT, "]"),
+    "sa": ("SA", "[", IDX, "]"),
+    "sb": ("SB", "[", IDX, ";", INT, "]"),
+    "dh": ("DH", "[", IDX, "]"),
+    "dk": ("DK", "[", IDX, "]"),
+    "E": ("E", "[", INT, "]"),
+    "F": ("F", "[", INT, "]"),
+    "H": ("H", "[", INT, "]"),
+    "x": ("X", "[", INT, "]"),
+    "y": ("Y",),
+}
+
+# Each kind's printf format, and which of its fields are multi-indices
+# (empty when none is, so those names print from the tuple directly).
+_FORMATS = {
+    kind: (
+        "".join({INT: "%d", IDX: "%s"}.get(tok, tok) for tok in grammar),
+        tuple(tok == IDX for tok in grammar if tok in (INT, IDX)) if IDX in grammar else (),
+    )
+    for kind, grammar in ELEMENT_GRAMMAR.items()
+}
 
 
 def element_to_str(alg, b):
     """Canonical printed name of a basis element."""
-    kind = b[0]
-    if kind == "e":
-        return "e[%d]" % b[1]
-    if kind == "z":
-        return "z"
-    if kind == "w":
-        return "x[%s]d[%d]" % (",".join(map(str, b[1])), b[2])
-    if kind == "sa":
-        return "SA[%s]" % ",".join(map(str, b[1]))
-    if kind == "sb":
-        return "SB[%s;%d]" % (",".join(map(str, b[1])), b[2])
-    if kind == "dh":
-        return "DH[%s]" % ",".join(map(str, b[1]))
-    if kind == "dk":
-        return "DK[%s]" % ",".join(map(str, b[1]))
-    if kind in ("E", "F", "H"):
-        return "%s[%d]" % (kind, b[1])
-    if kind == "x":
-        return "X[%d]" % b[1]
-    return "Y"
+    fmt, indices = _FORMATS[b[0]]
+    if not indices:
+        return fmt % b[1:]
+    return fmt % tuple([",".join(map(str, v)) if i else v for i, v in zip(indices, b[1:])])
 
 
-_ALG_NAMES = {
-    "witt": AlgebraSpec(WITT),
-    "witt+": AlgebraSpec(WITT_POS),
-    "w1": AlgebraSpec(CARTAN_W1),
-    "virasoro": AlgebraSpec(VIRASORO),
-    "loop-sl2": AlgebraSpec(LOOP_SL2),
-    "example-d": AlgebraSpec(EXAMPLE_D),
-}
-
-_PARAM_NAMES = {
-    "cartan-w": CARTAN_W,
-    "special-s": SPECIAL_S,
-    "hamiltonian": HAMILTONIAN_H,
-    "contact": CONTACT_K,
-}
+_CLI_NAMES = {fam.cli: family for family, fam in _FAMILIES.items()}
 
 
 def parse_algebra(name):
     """AlgebraSpec from its command-line name, e.g. "witt+" or "cartan-w:3"."""
-    if name in _ALG_NAMES:
-        return _ALG_NAMES[name]
-    if ":" in name:
-        head, _, tail = name.partition(":")
-        if head in _PARAM_NAMES and tail.lstrip("-").isdigit():
-            return AlgebraSpec(_PARAM_NAMES[head], int(tail))
+    head, colon, tail = name.partition(":")
+    family = _CLI_NAMES.get(head)
+    if family is not None and (_FAMILIES[family].rank is None) != bool(colon):
+        if not colon:
+            return AlgebraSpec(family)
+        if tail.lstrip("-").isdigit():
+            return AlgebraSpec(family, int(tail))
     raise ValueError("unknown algebra name: %r" % (name,))
 
 
 def algebra_to_str(alg):
     """Command-line name of an AlgebraSpec."""
-    for name, spec in _ALG_NAMES.items():
-        if spec == alg:
-            return name
-    for name, fam in _PARAM_NAMES.items():
-        if alg.family == fam:
-            return "%s:%d" % (name, alg.n)
-    raise ValueError("unnamed algebra: %r" % (alg,))
+    fam = _FAMILIES[alg.family]
+    return fam.cli if fam.rank is None else "%s:%d" % (fam.cli, alg.n)

@@ -37,7 +37,7 @@ from .leaders import (
     verify_claimed_subset,
 )
 from .poly import MINUS, PLUS, DTuple, Polynomial, d_op
-from .textio import ParseError, cert_to_json, parse_element, parse_poly, print_poly
+from .textio import ParseError, cert_to_doc, parse_element, parse_poly, print_poly
 
 
 class UsageError(ValueError):
@@ -50,7 +50,6 @@ def _build_parser():
     top.add_argument("--format", choices=["text", "json"], default="text")
     top.add_argument("--max-degree-gap", type=int, default=24)
     top.add_argument("--max-steps", type=int, default=10**6)
-    top.add_argument("--jobs", type=int, default=1, help="accepted for compatibility")
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("bracket")
@@ -111,19 +110,24 @@ def _build_parser():
     return top
 
 
-def _emit(args, text_lines, doc):
+def _emit(args, doc):
     if args.format == "json":
         print(json.dumps(doc, indent=2))
     else:
-        for line in text_lines:
+        for line in _text(doc):
             print(line)
 
 
-def _verdict(args, ok, extra_text=(), extra_doc=None):
+def _verdict(args, ok, extra_doc=None):
     doc = {"verdict": bool(ok)}
     doc.update(extra_doc or {})
-    _emit(args, ["verdict: %s" % ("true" if ok else "false")] + list(extra_text), doc)
+    _emit(args, doc)
     return 0 if ok else 1
+
+
+def _report(args, rep, alg):
+    _emit(args, _report_doc(rep, alg))
+    return 0 if rep.verdict else 1
 
 
 def _parse_pair(alg, s):
@@ -143,14 +147,6 @@ def _parse_pair(alg, s):
                 parse_element(alg, inner[pos + 1 :]),
             )
     raise UsageError("pair must look like (M,N): %r" % s)
-
-
-def _failing_text(alg, v):
-    if isinstance(v, int):
-        return str(v)
-    if isinstance(v, tuple) and v and isinstance(v[0], str):
-        return element_to_str(alg, v)
-    return "(%s)" % ", ".join(_failing_text(alg, u) for u in v)
 
 
 def _failing_doc(alg, v):
@@ -174,40 +170,62 @@ def _report_doc(rep, alg):
     return doc
 
 
-def _report_text(rep, alg):
-    lines = ["verdict: %s" % ("true" if rep.verdict else "false")]
-    if rep.witness is not None:
-        lines.append(
-            "witness: (%s)"
-            % ", ".join(element_to_str(alg, b) for b in rep.witness.entries)
-        )
-    if rep.failing is not None:
-        lines.append("failing: %s" % _failing_text(alg, rep.failing))
-    if rep.exceptions is not None:
-        lines.append(
-            "exceptions: %s"
-            % ", ".join(element_to_str(alg, b) for b in rep.exceptions)
-        )
-    if rep.notes:
-        lines.append("notes: %s" % rep.notes)
+def _field(show=str):
+    return lambda key, v, doc: ["%s: %s" % (key, show(v))]
+
+
+def _nested(v):
+    return "(%s)" % ", ".join(map(_nested, v)) if isinstance(v, list) else str(v)
+
+
+def _multiplier_lines(key, v, doc):
+    return [
+        "multiplier[%d]: initial^%d * sep+^%d * sep-^%d  (generator %s)"
+        % (m["generator"], m["initial_exp"], m["sep_plus_exp"], m["sep_minus_exp"],
+           doc["generators"][m["generator"]])
+        for m in v
+    ]
+
+
+def _term_lines(key, v, doc):
+    lines = []
+    for t in v:
+        op = "id" if t["tuple"] is None else "D_(%s)" % ", ".join(t["tuple"])
+        lines.append("term: (%s) * %s(generator %d)" % (t["coeff"], op, t["generator"]))
     return lines
 
 
-def _cert_text(cert):
-    lines = ["remainder: %s" % print_poly(cert.remainder)]
-    for i, (f, ex) in enumerate(zip(cert.generators, cert.multipliers)):
-        lines.append(
-            "multiplier[%d]: initial^%d * sep+^%d * sep-^%d  (generator %s)"
-            % (i, ex.initial, ex.sep_plus, ex.sep_minus, print_poly(f))
-        )
-    for t in cert.terms:
-        if t.dtuple is None:
-            op = "id"
-        else:
-            op = "D_(%s)" % ", ".join(
-                element_to_str(cert.alg, b) for b in t.dtuple.entries
-            )
-        lines.append("term: (%s) * %s(generator %d)" % (print_poly(t.coeff), op, t.gen))
+def _leader_lines(key, v, doc):
+    return ["%s %s: %s" % (key, k, u) for k, u in v.items()]
+
+
+# How --format text shows a command's JSON document: the keys it shows, in
+# this order, each with the function of (key, value, document) giving its
+# lines.  Keys not listed here are not shown.
+_TEXT = {
+    "result": lambda key, v, doc: [v],
+    "upper": _leader_lines,
+    "lower": _leader_lines,
+    "verdict": _field(lambda v: "true" if v else "false"),
+    "witness": _field(lambda v: "(%s)" % ", ".join(v)),
+    "failing": _field(_nested),
+    "exceptions": _field(", ".join),
+    "notes": _field(),
+    "counterexample": _field(),
+    "length": _field(),
+    "sequence": lambda key, v, doc: v,
+    "remainder": _field(),
+    "multipliers": _multiplier_lines,
+    "terms": _term_lines,
+}
+
+
+def _text(doc):
+    """The --format text lines of a command's JSON document."""
+    lines = []
+    for key, show in _TEXT.items():
+        if key in doc:
+            lines += show(key, doc[key], doc)
     return lines
 
 
@@ -221,7 +239,7 @@ def _run(args):
         a = parse_element(alg, args.a)
         b = parse_element(alg, args.b)
         out = Polynomial.from_lie(alg, bracket_basis(alg, a, b))
-        _emit(args, [print_poly(out)], {"result": print_poly(out)})
+        _emit(args, {"result": print_poly(out)})
         return 0
 
     if cmd == "pbracket":
@@ -230,7 +248,7 @@ def _run(args):
         f = parse_poly(alg, args.f)
         g = parse_poly(alg, args.g)
         out = poisson_bracket(f, g)
-        _emit(args, [print_poly(out)], {"result": print_poly(out)})
+        _emit(args, {"result": print_poly(out)})
         return 0
 
     if cmd == "dop":
@@ -244,29 +262,21 @@ def _run(args):
         else:
             raise UsageError("tuple entries must have uniform degree sign")
         out = d_op(f, DTuple(entries, sign))
-        _emit(args, [print_poly(out)], {"result": print_poly(out)})
+        _emit(args, {"result": print_poly(out)})
         return 0
 
     if cmd == "leaders":
         f = parse_poly(alg, args.f)
         doc = {}
-        lines = []
         for sign, name in ((PLUS, "upper"), (MINUS, "lower")):
             l = f.leader(sign)
-            d = f.degree_in(l)
             doc[name] = {
                 "leader": element_to_str(alg, l),
-                "degree": d,
+                "degree": f.degree_in(l),
                 "initial": print_poly(f.initial(sign)),
                 "separant": print_poly(f.separant(sign)),
             }
-            lines += [
-                "%s leader: %s" % (name, element_to_str(alg, l)),
-                "%s degree: %d" % (name, d),
-                "%s initial: %s" % (name, print_poly(f.initial(sign))),
-                "%s separant: %s" % (name, print_poly(f.separant(sign))),
-            ]
-        _emit(args, lines, doc)
+        _emit(args, doc)
         return 0
 
     if cmd == "reduce":
@@ -277,11 +287,7 @@ def _run(args):
         if not verify_certificate(alg, cert):
             print("internal error: certificate failed verification", file=sys.stderr)
             return 3
-        if args.format == "json":
-            print(cert_to_json(cert))
-        else:
-            for line in _cert_text(cert):
-                print(line)
+        _emit(args, cert_to_doc(cert))
         return 0
 
     if cmd == "check-reduced":
@@ -296,18 +302,14 @@ def _run(args):
     if cmd == "l-member":
         m = parse_element(alg, args.m)
         t = parse_element(alg, args.t)
-        rep = l_member(alg, m, t, MINUS if args.minus else PLUS, max_gap=gap)
-        _emit(args, _report_text(rep, alg), _report_doc(rep, alg))
-        return 0 if rep.verdict else 1
+        return _report(args, l_member(alg, m, t, MINUS if args.minus else PLUS, max_gap=gap), alg)
 
     if cmd == "check-dicksonian":
         pairs = []
         for chunk in args.pairs:
             for piece in chunk.split():
                 pairs.append(_parse_pair(alg, piece))
-        rep = check_leading_dicksonian(alg, pairs, max_gap=gap)
-        _emit(args, _report_text(rep, alg), _report_doc(rep, alg))
-        return 0 if rep.verdict else 1
+        return _report(args, check_leading_dicksonian(alg, pairs, max_gap=gap), alg)
 
     if cmd == "search-dicksonian":
         seq = search_leading_dicksonian(
@@ -317,30 +319,22 @@ def _run(args):
             "(%s, %s)" % (element_to_str(alg, m), element_to_str(alg, n))
             for m, n in seq
         ]
-        _emit(
-            args,
-            ["length: %d" % len(seq)] + named,
-            {"length": len(seq), "sequence": named},
-        )
+        _emit(args, {"length": len(seq), "sequence": named})
         return 0
 
     if cmd == "verify-lemma":
-        rep = verify_claimed_subset(alg, args.tag, args.bound, max_gap=gap)
-        _emit(args, _report_text(rep, alg), _report_doc(rep, alg))
-        return 0 if rep.verdict else 1
+        return _report(args, verify_claimed_subset(alg, args.tag, args.bound, max_gap=gap), alg)
 
     if cmd == "check-dagger":
-        rep = check_dagger(alg, tuple(args.window))
-        _emit(args, _report_text(rep, alg), _report_doc(rep, alg))
-        return 0 if rep.verdict else 1
+        return _report(args, check_dagger(alg, tuple(args.window)), alg)
 
     if cmd == "check-cofinite":
         m = parse_element(alg, args.m)
-        rep = check_cofinite_window(alg, m, tuple(args.window), max_gap=gap)
-        _emit(args, _report_text(rep, alg), _report_doc(rep, alg))
-        return 0 if rep.verdict else 1
+        return _report(args, check_cofinite_window(alg, m, tuple(args.window), max_gap=gap), alg)
 
     if cmd == "jacobi-test":
+        if args.samples < 0:
+            raise UsageError("--samples must not be negative")
         lo, hi = args.window
         pool = elements_in_window(alg, lo, hi)
         if not pool:
@@ -352,26 +346,25 @@ def _run(args):
             if jacobi_residual(alg, a, b, c):
                 bad = (a, b, c)
                 break
-        ok = bad is None
-        extra = (
-            {}
-            if ok
-            else {"counterexample": [element_to_str(alg, t) for t in bad]}
-        )
-        return _verdict(
-            args,
-            ok,
-            [] if ok else ["counterexample: %s" % extra["counterexample"]],
-            extra,
-        )
+        if bad is None:
+            return _verdict(args, True)
+        return _verdict(args, False, {"counterexample": [element_to_str(alg, t) for t in bad]})
 
     raise UsageError("unknown command %r" % cmd)
+
+
+def _values(argv):
+    """Mark every token that starts with a single "-", other than -h, as a
+    value by a leading space.  Every other option is a --long one, so such
+    a token (the polynomial -e[4], the bound -1) can only be a value, and
+    the parsers of polynomials, elements and integers skip the space."""
+    return [" " + a if a[:1] == "-" and a[:2] != "--" and a != "-h" else a for a in argv]
 
 
 def main(argv=None):
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return exc.code if exc.code is not None else 0
     try:

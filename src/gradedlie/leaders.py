@@ -197,6 +197,8 @@ def search_leading_dicksonian(alg, degree_bound, length_bound, max_gap=DEFAULT_M
     |degree| <= degree_bound, capped at length_bound.  Deterministic:
     depth-first in the canonical pair order, first maximal answer wins.
     """
+    if degree_bound < 0 or length_bound < 0:
+        raise ValueError("degree and length bounds must not be negative")
     elems = elements_in_window(alg, -degree_bound, degree_bound)
     pool = [
         (M, N)
@@ -265,6 +267,13 @@ def dickson_check(points):
 # Structural hypotheses on the algebra itself
 
 
+def _window(window):
+    lo, hi = window
+    if lo > hi:
+        raise ValueError("inverted degree window (%d, %d)" % (lo, hi))
+    return lo, hi
+
+
 def check_dagger(alg, window):
     """Check, on a degree window, the monomial-bracket hypothesis:
 
@@ -273,7 +282,7 @@ def check_dagger(alg, window):
     (b) for same-sign M1 < M2 and M with [M1,M], [M2,M] nonzero, the
         extreme leaders satisfy l([M1,M]) < l([M2,M]).
     """
-    lo, hi = window
+    lo, hi = _window(window)
     elems = elements_in_window(alg, lo, hi)
     for a, b in itertools.combinations(elems, 2):
         br = bracket_basis(alg, a, b)
@@ -321,7 +330,7 @@ def check_cofinite_window(alg, M, window, max_gap=DEFAULT_MAX_GAP):
     exceptions stay strictly inside the window, or the window already
     reaches the algebra's least degree so nothing below is missed.
     """
-    lo, hi = window
+    lo, hi = _window(window)
     validate_element(alg, M)
     dM = degree(alg, M)
     exceptions = []
@@ -484,6 +493,8 @@ def verify_claimed_subset(alg, lemma, bound, max_gap=DEFAULT_MAX_GAP):
     """
     if lemma not in _LEMMA_FAMILIES:
         raise ValueError("unknown lemma tag: %r" % (lemma,))
+    if bound < 0:
+        raise ValueError("bound must not be negative")
     family, gen = _LEMMA_FAMILIES[lemma]
     if alg.family != family:
         raise ValueError("lemma %s is about %s, not %s" % (lemma, family, alg.family))

@@ -250,16 +250,12 @@ def compare_rank(f, g, sign):
 
 
 def poisson_bracket(f, g):
-    """{f, g}: the biderivation extending the Lie bracket."""
+    """{f, g}: the biderivation extending the Lie bracket, as the sum over
+    the variables b of g of dg/db * {f, b}."""
     _check_same(f, g)
-    alg = f.alg
-    out = Polynomial.zero(alg)
-    for a in f.variables():
-        dfa = f.derivative(a)
-        for b in g.variables():
-            br = bracket_basis(alg, a, b)
-            if br:
-                out = out + dfa * g.derivative(b) * Polynomial.from_lie(alg, br)
+    out = Polynomial.zero(f.alg)
+    for b in g.variables():
+        out = out + g.derivative(b) * pb_with_var(f, b)
     return out
 
 

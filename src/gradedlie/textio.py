@@ -2,14 +2,18 @@
 
 Surface syntax, whitespace-insensitive:
 
-    poly    = [sign] term { sign term }
-    term    = factor { "*" factor }
-    factor  = INT [ "/" INT ] | variable [ "^" INT ]
+    poly     = [sign] term { sign term }
+    term     = factor { "*" factor }
+    factor   = INT [ "/" INT ] | variable [ "^" INT ]
+    variable = the name of a basis element, read by the token grammar of
+               its kind in algebras.ELEMENT_GRAMMAR: e[n], z,
+               x[i1,...,in]d[k], SA[i,...], SB[i,...;k], DH[i,...],
+               DK[i,...], E[p], F[p], H[p], X[n], Y
 
-Variables: e[n], z, x[i1,...,in]d[k], SA[i,...], SB[i,...;k], DH[i,...],
-DK[i,...], E[p], F[p], H[p], X[n], Y.  The printer emits terms in
-descending monomial order with coefficients in lowest terms, so printing
-then parsing is the identity.
+element_to_str prints a name from the same grammar, so printing then
+parsing a name is the identity.  The printer emits terms in descending
+monomial order with coefficients in lowest terms, so printing then
+parsing a polynomial is the identity too.
 """
 
 from __future__ import annotations
@@ -19,7 +23,9 @@ import re
 from fractions import Fraction
 
 from .algebras import (
-    AlgebraSpec,
+    ELEMENT_GRAMMAR,
+    IDX,
+    INT,
     algebra_to_str,
     degree,
     element_to_str,
@@ -41,6 +47,8 @@ class ParseError(ValueError):
 class SchemaError(ValueError):
     """Certificate document does not match the schema."""
 
+
+_KIND_OF_HEAD = {grammar[0]: kind for kind, grammar in ELEMENT_GRAMMAR.items()}
 
 _TOKEN = re.compile(r"\s*(\d+|[A-Za-z]+|[][,;*^/+-])")
 
@@ -91,63 +99,30 @@ class _Parser:
             raise ParseError("expected an integer, found %r" % tok, pos)
         return -int(tok) if neg else int(tok)
 
-    def int_list(self, stop):
+    def index(self):
         out = [self.int_tok()]
         while self.peek() == ",":
             self.take()
             out.append(self.int_tok())
-        self.take(stop)
-        return out
+        return tuple(out)
 
     def element(self):
+        """One basis element, read by the grammar of its kind."""
         tok, pos = self.take()
-        alg = self.alg
-        try:
-            if tok == "e":
-                self.take("[")
-                b = ("e", self.int_tok())
-                self.take("]")
-            elif tok == "z":
-                b = ("z",)
-            elif tok == "x":
-                self.take("[")
-                i = self.int_list("]")
-                name, npos = self.take()
-                if name != "d":
-                    raise ParseError("expected 'd' after x[...]", npos)
-                self.take("[")
-                k = self.int_tok()
-                self.take("]")
-                b = ("w", tuple(i), k)
-            elif tok in ("SA", "DH", "DK"):
-                self.take("[")
-                i = self.int_list("]")
-                b = ({"SA": "sa", "DH": "dh", "DK": "dk"}[tok], tuple(i))
-            elif tok == "SB":
-                self.take("[")
-                i = [self.int_tok()]
-                while self.peek() == ",":
-                    self.take()
-                    i.append(self.int_tok())
-                self.take(";")
-                k = self.int_tok()
-                self.take("]")
-                b = ("sb", tuple(i), k)
-            elif tok in ("E", "F", "H"):
-                self.take("[")
-                b = (tok, self.int_tok())
-                self.take("]")
-            elif tok == "X":
-                self.take("[")
-                b = ("x", self.int_tok())
-                self.take("]")
-            elif tok == "Y":
-                b = ("y",)
+        kind = _KIND_OF_HEAD.get(tok)
+        if kind is None:
+            raise ParseError("unknown variable %r" % tok, pos)
+        fields = []
+        for part in ELEMENT_GRAMMAR[kind][1:]:
+            if part == INT:
+                fields.append(self.int_tok())
+            elif part == IDX:
+                fields.append(self.index())
             else:
-                raise ParseError("unknown variable %r" % tok, pos)
-            validate_element(alg, b)
-        except ParseError:
-            raise
+                self.take(part)
+        b = (kind,) + tuple(fields)
+        try:
+            validate_element(self.alg, b)
         except ValueError as exc:
             raise ParseError(str(exc), pos) from exc
         return b
@@ -263,10 +238,10 @@ def _dtuple_to_json(alg, t):
     return [element_to_str(alg, b) for b in t.entries]
 
 
-def cert_to_json(cert):
-    """Serialize a reduction certificate to a JSON string."""
+def cert_to_doc(cert):
+    """A reduction certificate as a JSON-ready document."""
     alg = cert.alg
-    doc = {
+    return {
         "format": 1,
         "algebra": algebra_to_str(alg),
         "input": print_poly(cert.input),
@@ -290,7 +265,23 @@ def cert_to_json(cert):
             for t in cert.terms
         ],
     }
-    return json.dumps(doc, indent=2)
+
+
+def cert_to_json(cert):
+    """Serialize a reduction certificate to a JSON string."""
+    return json.dumps(cert_to_doc(cert), indent=2)
+
+
+def _natural(v):
+    if type(v) is not int or v < 0:
+        raise SchemaError("not a natural number: %r" % (v,))
+    return v
+
+
+def _index(v, n, what):
+    if _natural(v) >= n:
+        raise SchemaError("%s out of range" % what)
+    return v
 
 
 def cert_from_json(s):
@@ -304,16 +295,20 @@ def cert_from_json(s):
     try:
         alg = parse_algebra(doc["algebra"])
         gens = tuple(parse_poly(alg, g) for g in doc["generators"])
-        mults = [MultiplierExp(0, 0, 0)] * len(gens)
+        if any(g.is_constant() for g in gens):
+            raise SchemaError("constant generator")
+        mults = [None] * len(gens)
         for entry in doc["multipliers"]:
-            mults[entry["generator"]] = MultiplierExp(
-                entry["initial_exp"], entry["sep_plus_exp"], entry["sep_minus_exp"]
+            gi = _index(entry["generator"], len(gens), "multiplier generator index")
+            if mults[gi] is not None:
+                raise SchemaError("duplicate multiplier for generator %d" % gi)
+            mults[gi] = MultiplierExp(
+                *(_natural(entry[k]) for k in ("initial_exp", "sep_plus_exp", "sep_minus_exp"))
             )
+        mults = [MultiplierExp() if m is None else m for m in mults]
         terms = []
         for entry in doc["terms"]:
-            gi = entry["generator"]
-            if not 0 <= gi < len(gens):
-                raise SchemaError("term generator index out of range")
+            gi = _index(entry["generator"], len(gens), "term generator index")
             dt = None
             if entry["tuple"] is not None:
                 entries = tuple(parse_element(alg, n) for n in entry["tuple"])

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from gradedlie.cli import main
 
 
@@ -189,3 +191,87 @@ class TestErrorHandling:
         )
         assert code == 3
         assert err
+
+
+class TestArguments:
+    def test_leading_minus_polynomial_is_a_value(self, capsys):
+        code, out, _ = run(capsys, "--alg", "witt+", "reduce", "-e[4]", "--by", "e[1]^2")
+        assert code == 0
+        assert out.startswith("remainder: 0")
+        code, out, _ = run(capsys, "--alg", "witt+", "pbracket", "-e[1]", "-e[2]")
+        assert (code, out) == (0, "e[3]\n")
+
+    def test_jobs_flag_is_gone(self, capsys):
+        code, _, _ = run(capsys, "--alg", "witt+", "--jobs", "2", "bracket", "e[1]", "e[2]")
+        assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--alg", "virasoro", "check-dagger", "--window", "4", "-1"),
+            ("--alg", "witt", "check-cofinite", "e[1]", "--window", "4", "-1"),
+            ("--alg", "witt", "jacobi-test", "--window", "-3", "3", "--samples", "-1"),
+            ("--alg", "cartan-w:2", "verify-lemma", "W_i", "--bound", "-1"),
+            ("--alg", "witt+", "search-dicksonian", "--degree-bound", "-1", "--length-bound", "4"),
+            ("--alg", "witt+", "search-dicksonian", "--degree-bound", "3", "--length-bound", "-1"),
+        ],
+        ids=[
+            "dagger-inverted-window",
+            "cofinite-inverted-window",
+            "jacobi-negative-samples",
+            "lemma-negative-bound",
+            "search-negative-degree-bound",
+            "search-negative-length-bound",
+        ],
+    )
+    def test_vacuous_inputs_rejected(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
+
+
+class TestTextFormat:
+    """--format text renders each command's JSON document."""
+
+    @pytest.mark.parametrize(
+        "argv, text",
+        [
+            (
+                ("--alg", "witt", "check-cofinite", "e[1]", "--window", "-4", "4"),
+                "verdict: true\n"
+                "exceptions: e[1], e[2]\n"
+                "notes: exceptions within degree distance 1 of e[1]\n",
+            ),
+            (
+                ("--alg", "witt+", "check-dicksonian", "(e[1],e[1]) (e[2],e[2]) (e[3],e[3])"),
+                "verdict: false\nfailing: (1, 3)\nnotes: e[3] in L+(e[1])\n",
+            ),
+            (
+                ("--alg", "witt+", "leaders", "e[1]^2*e[3]+e[2]"),
+                "upper leader: e[3]\n"
+                "upper degree: 1\n"
+                "upper initial: e[1]^2\n"
+                "upper separant: e[1]^2\n"
+                "lower leader: e[1]\n"
+                "lower degree: 2\n"
+                "lower initial: e[3]\n"
+                "lower separant: 2*e[3]*e[1]\n",
+            ),
+            (
+                ("--alg", "witt+", "reduce", "e[1]^3 + e[4]", "--by", "e[1]^2"),
+                "remainder: 0\n"
+                "multiplier[0]: initial^1 * sep+^1 * sep-^0  (generator e[1]^2)\n"
+                "term: (1/2) * D_(e[3])(generator 0)\n"
+                "term: (2*e[1]^2) * id(generator 0)\n",
+            ),
+            (
+                ("--alg", "witt+", "search-dicksonian", "--degree-bound", "2",
+                 "--length-bound", "3"),
+                "length: 3\n(e[1], e[1])\n(e[1], e[2])\n(e[2], e[2])\n",
+            ),
+        ],
+        ids=["cofinite", "dicksonian", "leaders", "reduce", "search"],
+    )
+    def test_exact_text(self, capsys, argv, text):
+        code, out, _ = run(capsys, *argv)
+        assert out == text

@@ -12,13 +12,14 @@ from gradedlie import (
     ConstantPolynomial,
     DTuple,
     Polynomial,
+    bracket_basis,
     compare_rank,
     d_leader,
     d_op,
     poisson_bracket,
 )
 from gradedlie.algebras import dh, e
-from helpers import H2, P, WITT, WITT_POS, random_poly
+from helpers import ALL_ALGEBRAS, H2, P, WITT, WITT_POS, random_poly
 
 
 @pytest.fixture
@@ -147,6 +148,20 @@ class TestPoissonBracket:
     def test_kills_constants(self):
         five = Polynomial.const(WITT, Fraction(5))
         assert poisson_bracket(five, P(WITT, "e[2]")).is_zero()
+
+    def test_double_sum_definition(self):
+        # {f, g} = sum over variables a of f and b of g of df/da * dg/db * [a, b]
+        rng = random.Random(29)
+        for alg in ALL_ALGEBRAS:
+            for _ in range(5):
+                f = random_poly(alg, rng, max_support=3)
+                g = random_poly(alg, rng, max_support=3)
+                want = Polynomial.zero(alg)
+                for a in f.variables():
+                    for b in g.variables():
+                        br = Polynomial.from_lie(alg, bracket_basis(alg, a, b))
+                        want = want + f.derivative(a) * g.derivative(b) * br
+                assert poisson_bracket(f, g) == want
 
 
 class TestDTuple:

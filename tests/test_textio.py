@@ -18,8 +18,8 @@ from gradedlie import (
     print_poly,
     verify_certificate,
 )
-from gradedlie.algebras import e
-from helpers import ALL_ALGEBRAS, P, WITT, WITT_POS, random_poly
+from gradedlie.algebras import InvalidElement, algebra_to_str, e, element_to_str, validate_element
+from helpers import ALL_ALGEBRAS, P, WINDOWS, WITT, WITT_POS, random_poly, window_basis
 
 
 class TestParse:
@@ -77,6 +77,26 @@ class TestParse:
         for alg in ALL_ALGEBRAS:
             f = P(alg, samples[alg.family])
             assert not f.is_zero()
+
+
+class TestElementGrammar:
+    @pytest.mark.parametrize("alg", list(WINDOWS), ids=algebra_to_str)
+    def test_names_round_trip_and_parse_exactly_the_valid(self, alg):
+        for b in window_basis(alg):
+            assert validate_element(alg, b) == b
+            name = element_to_str(alg, b)
+            assert parse_element(alg, name) == b
+            for alg2 in WINDOWS:
+                try:
+                    validate_element(alg2, b)
+                    valid = True
+                except InvalidElement:
+                    valid = False
+                try:
+                    parsed = parse_element(alg2, name) == b
+                except ParseError:
+                    parsed = False
+                assert parsed == valid, (name, alg2)
 
 
 class TestPrint:
@@ -138,3 +158,39 @@ class TestCertificateJson:
     def test_rational_coefficients_as_strings(self):
         doc = json.loads(cert_to_json(self.make_cert()))
         assert all(isinstance(t["coeff"], str) for t in doc["terms"])
+
+
+def _set_multiplier(key, value):
+    return lambda doc: doc["multipliers"][0].update({key: value})
+
+
+class TestCertificateSchema:
+    """Edits that cert_from_json refuses at load, on the certificate of
+    partial_reduce(witt+, e[4], (e[1]^2,))."""
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            _set_multiplier("sep_plus_exp", -1),
+            _set_multiplier("sep_plus_exp", 1.5),
+            _set_multiplier("sep_plus_exp", True),
+            _set_multiplier("generator", -1),
+            lambda doc: doc["multipliers"].append(dict(doc["multipliers"][0])),
+            lambda doc: doc["generators"].__setitem__(0, "3"),
+        ],
+        ids=[
+            "negative-exponent",
+            "float-exponent",
+            "bool-exponent",
+            "negative-generator",
+            "duplicate-multiplier",
+            "constant-generator",
+        ],
+    )
+    def test_rejected_at_load(self, edit):
+        cert = partial_reduce(WITT_POS, P(WITT_POS, "e[4]"), (P(WITT_POS, "e[1]^2"),))[1]
+        doc = json.loads(cert_to_json(cert))
+        cert_from_json(json.dumps(doc))
+        edit(doc)
+        with pytest.raises(SchemaError):
+            cert_from_json(json.dumps(doc))
