@@ -233,6 +233,9 @@ def _run(args):
     alg = parse_algebra(args.alg)
     gap = args.max_degree_gap
     steps = args.max_steps
+    for flag, value in (("--max-degree-gap", gap), ("--max-steps", steps)):
+        if value < 0:
+            raise UsageError("%s must not be negative" % flag)
     cmd = args.command
 
     if cmd == "bracket":

@@ -51,27 +51,28 @@ class MembershipReport:
     exceptions: tuple | None = None
 
 
-def _iter_length(alg, d, sign, length):
-    """Tuples of the given length and total degree, in entry-lex order."""
-    lo, hi = (1, abs(d)) if sign == PLUS else (-abs(d), -1)
-    pools = {}
-    out = []
+def _iter_length(alg, rem, sign, slots, pools):
+    """Tuples of `slots` entries with total degree rem, in entry-lex order.
 
-    def rec(prefix, rem, slots):
-        if slots == 0:
-            if rem == 0:
-                out.append(tuple(prefix))
-            return
-        step = 1 if sign == PLUS else -1
-        for e in range(step, rem - (slots - 1) * step + step, step):
-            if e not in pools:
-                pools[e] = enumerate_component(alg, e)
-            for b in pools[e]:
-                rec(prefix + [b], rem - e, slots - 1)
-
-    rec([], d, length)
-    out.sort(key=lambda t: tuple(order_key(alg, b) for b in t))
-    return out
+    Each entry runs over its feasible degrees in ascending order and each
+    degree's component in basis order; order_key leads with the degree,
+    so this is entry-lex order.  pools holds the components by degree.
+    """
+    if slots == 1:
+        degrees = (rem,)
+    elif sign == PLUS:
+        degrees = range(1, rem - slots + 2)
+    else:
+        degrees = range(rem + slots - 1, 0)
+    for e in degrees:
+        if e not in pools:
+            pools[e] = enumerate_component(alg, e)
+        for b in pools[e]:
+            if slots == 1:
+                yield (b,)
+            else:
+                for rest in _iter_length(alg, rem - e, sign, slots - 1, pools):
+                    yield (b,) + rest
 
 
 def iter_tuples(alg, d, sign, max_gap=DEFAULT_MAX_GAP):
@@ -84,8 +85,9 @@ def iter_tuples(alg, d, sign, max_gap=DEFAULT_MAX_GAP):
         raise DegreeGapExceeded(
             "tuple degree %d exceeds safety limit %d" % (d, max_gap)
         )
+    pools = {}
     for length in range(1, abs(d) + 1):
-        for t in _iter_length(alg, d, sign, length):
+        for t in _iter_length(alg, d, sign, length, pools):
             yield DTuple(t, sign)
 
 
@@ -141,14 +143,9 @@ def l_member(alg, M, T, sign, max_gap=DEFAULT_MAX_GAP):
     return MembershipReport(False, notes="no tuple of degree %d works" % gap)
 
 
-@functools.lru_cache(maxsize=None)
-def _member_cached(alg, M, T, sign, max_gap):
-    return l_member(alg, M, T, sign, max_gap).verdict
-
-
 def is_member(alg, M, T, sign, max_gap=DEFAULT_MAX_GAP):
-    """Cached boolean form of l_member."""
-    return _member_cached(alg, M, T, sign, max_gap)
+    """Boolean form of l_member, decided afresh on every call."""
+    return l_member(alg, M, T, sign, max_gap).verdict
 
 
 # ---------------------------------------------------------------------------
@@ -207,35 +204,34 @@ def search_leading_dicksonian(alg, degree_bound, length_bound, max_gap=DEFAULT_M
         if compare_basis(alg, M, N) <= 0
     ]
     pool.sort(key=lambda p: (order_key(alg, p[0]), order_key(alg, p[1])))
+    member = functools.cache(functools.partial(is_member, alg, max_gap=max_gap))
 
-    def compatible(prev, cand):
-        return not (
-            is_member(alg, prev[0], cand[0], MINUS, max_gap)
-            or is_member(alg, prev[1], cand[1], PLUS, max_gap)
-        )
+    def follows(prev, cand):
+        return not (member(prev[0], cand[0], MINUS) or member(prev[1], cand[1], PLUS))
 
     best = []
     seen = set()
 
-    def extend(seq, used):
+    def extend(seq, used, free):
+        """used: bitmask of the pool indices in seq.  free: the parent's
+        candidates, the pool indices (in pool order) whose pairs may follow
+        every pair of seq but the last; narrowed here by the last pair."""
         nonlocal best
         if len(seq) > len(best):
             best = list(seq)
         if len(seq) >= length_bound:
             return True
-        key = frozenset(used)
-        if key in seen:
+        if used in seen:
             return False
-        seen.add(key)
-        for idx, cand in enumerate(pool):
-            if idx in used:
-                continue
-            if all(compatible(p, cand) for p in seq):
-                if extend(seq + [cand], used | {idx}):
-                    return True
+        seen.add(used)
+        if seq:
+            free = [j for j in free if not used >> j & 1 and follows(seq[-1], pool[j])]
+        for idx in free:
+            if extend(seq + [pool[idx]], used | 1 << idx, free):
+                return True
         return False
 
-    extend([], frozenset())
+    extend([], 0, range(len(pool)))
     return best
 
 

@@ -53,11 +53,6 @@ def mono_mul(alg, m1, m2):
     return mono(alg, list(m1) + list(m2))
 
 
-def mono_weight(alg, m):
-    """Total grading degree of a monomial."""
-    return sum(degree(alg, b) * x for b, x in m)
-
-
 def mono_sort_key(alg, m):
     """Key for the leader-major canonical order on monomials."""
     return tuple((order_key(alg, b), x) for b, x in reversed(m))
@@ -285,9 +280,6 @@ class DTuple:
             if self.sign == MINUS and d >= 0:
                 raise ValueError("'-' tuple entry of degree %d" % d)
         return self
-
-    def weight(self, alg):
-        return sum(degree(alg, b) for b in self.entries)
 
 
 def pb_with_var(f, b):

@@ -214,6 +214,8 @@ class TestArguments:
             ("--alg", "cartan-w:2", "verify-lemma", "W_i", "--bound", "-1"),
             ("--alg", "witt+", "search-dicksonian", "--degree-bound", "-1", "--length-bound", "4"),
             ("--alg", "witt+", "search-dicksonian", "--degree-bound", "3", "--length-bound", "-1"),
+            ("--alg", "witt+", "--max-steps", "-5", "reduce", "e[4]", "--by", "e[1]^2"),
+            ("--alg", "witt+", "--max-degree-gap", "-1", "l-member", "e[1]", "e[3]"),
         ],
         ids=[
             "dagger-inverted-window",
@@ -222,6 +224,8 @@ class TestArguments:
             "lemma-negative-bound",
             "search-negative-degree-bound",
             "search-negative-length-bound",
+            "negative-max-steps",
+            "negative-max-degree-gap",
         ],
     )
     def test_vacuous_inputs_rejected(self, capsys, argv):

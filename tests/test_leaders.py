@@ -21,9 +21,107 @@ from gradedlie import (
     verify_claimed_subset,
 )
 from gradedlie import leaders
-from gradedlie.algebras import Z, e, sb, w
+from gradedlie.algebras import (
+    Z,
+    algebra_to_str,
+    compare_basis,
+    degree,
+    e,
+    elements_in_window,
+    enumerate_component,
+    order_key,
+    parse_algebra,
+    sb,
+    w,
+)
 from gradedlie.leaders import is_member
 from helpers import EXD, H2, K3, S2, S3, SL2, VIR, W1, W2, WINDOWS, WITT, WITT_POS
+
+
+def sorted_tuples(alg, d, sign):
+    """The tuples of total degree d as first enumerated: all tuples of
+    each length collected, then sorted by their entries' order keys."""
+    step = 1 if sign == PLUS else -1
+    pools = {}
+    found = []
+    for length in range(1, abs(d) + 1):
+        out = []
+
+        def rec(prefix, rem, slots):
+            if slots == 0:
+                if rem == 0:
+                    out.append(DTuple(tuple(prefix), sign))
+                return
+            for deg in range(step, rem - (slots - 1) * step + step, step):
+                if deg not in pools:
+                    pools[deg] = enumerate_component(alg, deg)
+                for b in pools[deg]:
+                    rec(prefix + [b], rem - deg, slots - 1)
+
+        rec([], d, length)
+        out.sort(key=lambda t: tuple(order_key(alg, b) for b in t.entries))
+        found += out
+    return found
+
+
+def reference_search(alg, degree_bound, length_bound):
+    """The leading-Dicksonian search as first written: each node checks
+    every unused pair against every pair of the sequence, and the visited
+    index sets are frozensets."""
+    elems = elements_in_window(alg, -degree_bound, degree_bound)
+    pool = [(M, N) for M in elems for N in elems if compare_basis(alg, M, N) <= 0]
+    pool.sort(key=lambda p: (order_key(alg, p[0]), order_key(alg, p[1])))
+    verdicts = {}
+
+    def member(M, T, sign):
+        if (M, T, sign) not in verdicts:
+            verdicts[M, T, sign] = l_member(alg, M, T, sign).verdict
+        return verdicts[M, T, sign]
+
+    def compatible(prev, cand):
+        return not (member(prev[0], cand[0], MINUS) or member(prev[1], cand[1], PLUS))
+
+    best = []
+    seen = set()
+
+    def extend(seq, used):
+        nonlocal best
+        if len(seq) > len(best):
+            best = list(seq)
+        if len(seq) >= length_bound:
+            return True
+        key = frozenset(used)
+        if key in seen:
+            return False
+        seen.add(key)
+        for idx, cand in enumerate(pool):
+            if idx in used:
+                continue
+            if all(compatible(p, cand) for p in seq):
+                if extend(seq + [cand], used | {idx}):
+                    return True
+        return False
+
+    extend([], frozenset())
+    return best
+
+
+SEARCH_GRID = (
+    [
+        (name, bound, length)
+        for name in ("witt", "witt+", "w1", "virasoro")
+        for bound in (1, 2, 3)
+        for length in (1, 4, 12)
+    ]
+    + [("witt", 2, 30), ("witt+", 3, 30), ("w1", 3, 30), ("witt+", 4, 30)]
+    + [(name, 3, length) for name in ("loop-sl2", "example-d") for length in (4, 12)]
+    + [
+        (name, bound, length)
+        for name in ("cartan-w:2", "special-s:2", "hamiltonian:2", "contact:3")
+        for bound in (0, 1)
+        for length in (3, 6)
+    ]
+)
 
 
 class TestTupleSpace:
@@ -51,8 +149,16 @@ class TestTupleSpace:
 
     def test_total_degree_invariant(self):
         for t in tuple_space(WITT, 4, PLUS):
-            assert t.weight(WITT) == 4
+            assert sum(degree(WITT, b) for b in t.entries) == 4
             t.validate(WITT)
+
+    @pytest.mark.parametrize("alg", list(WINDOWS), ids=algebra_to_str)
+    def test_order_is_the_sorted_enumeration(self, alg):
+        lo, hi = WINDOWS[alg]
+        for d in range(min(lo, -1), max(hi, 1) + 1):
+            if d:
+                sign = PLUS if d > 0 else MINUS
+                assert tuple_space(alg, d, sign) == sorted_tuples(alg, d, sign), d
 
 
 class TestLCondition:
@@ -136,6 +242,41 @@ class TestSearchLeadingDicksonian:
         seq = search_leading_dicksonian(WITT, 2, 10)
         assert len(seq) >= 2
         assert check_leading_dicksonian(WITT, seq).verdict is True
+
+    @pytest.mark.parametrize("name, bound, length", SEARCH_GRID)
+    def test_same_answer_as_reference(self, name, bound, length):
+        alg = parse_algebra(name)
+        assert search_leading_dicksonian(alg, bound, length) == reference_search(
+            alg, bound, length
+        )
+
+
+def recording_l_member(monkeypatch):
+    """Route leaders.l_member through a recorder; returns the list of
+    (M, T, sign) it was called with."""
+    calls = []
+    decide = leaders.l_member
+
+    def recorder(alg, M, T, sign, max_gap=leaders.DEFAULT_MAX_GAP):
+        calls.append((M, T, sign))
+        return decide(alg, M, T, sign, max_gap)
+
+    monkeypatch.setattr(leaders, "l_member", recorder)
+    return calls
+
+
+class TestNoHiddenState:
+    def test_search_decides_each_membership_once(self, monkeypatch):
+        calls = recording_l_member(monkeypatch)
+        search_leading_dicksonian(WITT, 3, 20)
+        assert calls
+        assert len(calls) == len(set(calls))
+
+    def test_is_member_decides_on_every_call(self, monkeypatch):
+        calls = recording_l_member(monkeypatch)
+        assert is_member(WITT, e(1), e(3), PLUS) is True
+        assert is_member(WITT, e(1), e(3), PLUS) is True
+        assert calls == [(e(1), e(3), PLUS)] * 2
 
 
 class TestDicksonCheck:

@@ -180,9 +180,6 @@ class TestDTuple:
         with pytest.raises(ValueError):
             DTuple((e(1),), "*")
 
-    def test_weight(self):
-        assert DTuple((e(1), e(3)), PLUS).weight(WITT) == 4
-
 
 class TestDOperator:
     def test_single_step(self):
