@@ -585,7 +585,7 @@ def parse_algebra(name):
     if family is not None and (_FAMILIES[family].rank is None) != bool(colon):
         if not colon:
             return AlgebraSpec(family)
-        if tail.removeprefix("-").isdigit():
+        if tail.removeprefix("-").isdecimal():
             return AlgebraSpec(family, int(tail))
     raise ValueError("unknown algebra name: %r" % (name,))
 

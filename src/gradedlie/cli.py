@@ -20,6 +20,7 @@ from .algebras import (
     parse_algebra,
 )
 from .elim import (
+    DEFAULT_MAX_STEPS,
     NonTermination,
     full_reduce,
     is_reduced,
@@ -28,6 +29,7 @@ from .elim import (
     verify_certificate,
 )
 from .leaders import (
+    DEFAULT_MAX_GAP,
     DegreeGapExceeded,
     check_cofinite_window,
     check_dagger,
@@ -48,8 +50,8 @@ def _build_parser():
     top = argparse.ArgumentParser(prog="gradedlie")
     top.add_argument("--alg", required=True, help="algebra name, e.g. witt+ or cartan-w:3")
     top.add_argument("--format", choices=["text", "json"], default="text")
-    top.add_argument("--max-degree-gap", type=int, default=24)
-    top.add_argument("--max-steps", type=int, default=10**6)
+    top.add_argument("--max-degree-gap", type=int, default=DEFAULT_MAX_GAP)
+    top.add_argument("--max-steps", type=int, default=DEFAULT_MAX_STEPS)
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("bracket")
@@ -336,8 +338,8 @@ def _run(args):
         return _report(args, check_cofinite_window(alg, m, tuple(args.window), max_gap=gap), alg)
 
     if cmd == "jacobi-test":
-        if args.samples < 0:
-            raise UsageError("--samples must not be negative")
+        if args.samples <= 0:
+            raise UsageError("--samples must be positive")
         lo, hi = args.window
         pool = elements_in_window(alg, lo, hi)
         if not pool:

@@ -147,17 +147,15 @@ class _Reducer:
         order = sorted(range(len(self.lam)), key=lambda i: self.lam[i].rank(PLUS))
         for v in variables:
             for fi in order:
-                f = self.lam[fi]
-                lf = f.leader(sign)
-                if not is_member(self.alg, lf, v, sign, self.max_gap):
-                    continue
+                lf = self.lam[fi].leader(sign)
+                witnessed = False
                 for t in iter_witnesses(self.alg, lf, v, sign, self.max_gap):
+                    witnessed = True
                     step = self._prepare(fi, v, t, sign)
                     if step is not None:
                         return step
-                raise NonTermination(
-                    "no witness tuple admits the separant decomposition"
-                )
+                if witnessed:
+                    raise NonTermination("no witness tuple admits the separant decomposition")
         return None
 
     def _prepare(self, fi, v, t, sign):

@@ -11,7 +11,6 @@ by the grading).
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 
@@ -193,46 +192,43 @@ def search_leading_dicksonian(alg, degree_bound, length_bound, max_gap=DEFAULT_M
     """Longest leading-Dicksonian sequence from pairs of elements with
     |degree| <= degree_bound, capped at length_bound.  Deterministic:
     depth-first in the canonical pair order, first maximal answer wins.
-    """
-    if degree_bound < 0 or length_bound < 0:
-        raise ValueError("degree and length bounds must not be negative")
+    The follow relation is decided once, before the search: follow[q] is
+    the int bitmask of the pool pairs that may follow pair q."""
     elems = elements_in_window(alg, -degree_bound, degree_bound)
-    pool = [
-        (M, N)
-        for M in elems
-        for N in elems
-        if compare_basis(alg, M, N) <= 0
-    ]
-    pool.sort(key=lambda p: (order_key(alg, p[0]), order_key(alg, p[1])))
-    member = functools.cache(functools.partial(is_member, alg, max_gap=max_gap))
-
-    def follows(prev, cand):
-        return not (member(prev[0], cand[0], MINUS) or member(prev[1], cand[1], PLUS))
-
-    best = []
-    seen = set()
+    if not elems or length_bound <= 0:
+        raise ValueError("search needs a nonempty degree window and a positive length bound")
+    n = len(elems)
+    # below[i]: the j < i with elems[j] in L-(elems[i]); above[i]: the j > i in L+.
+    below = [sum(1 << j for j in range(i) if is_member(alg, M, elems[j], MINUS, max_gap))
+             for i, M in enumerate(elems)]
+    above = [sum(1 << j for j in range(i + 1, n) if is_member(alg, M, elems[j], PLUS, max_gap))
+             for i, M in enumerate(elems)]
+    pool = [(i, j) for i in range(n) for j in range(i, n)]
+    follow = [sum(1 << r for r, (k, l) in enumerate(pool)
+                  if not (below[i] >> k & 1 or above[j] >> l & 1)) for i, j in pool]
+    best, seen = [], set()
 
     def extend(seq, used, free):
-        """used: bitmask of the pool indices in seq.  free: the parent's
-        candidates, the pool indices (in pool order) whose pairs may follow
-        every pair of seq but the last; narrowed here by the last pair."""
+        """used: bitmask of the pool indices in seq.  free: the unused
+        ones whose pairs may follow every pair of seq."""
         nonlocal best
         if len(seq) > len(best):
-            best = list(seq)
+            best = seq
         if len(seq) >= length_bound:
             return True
         if used in seen:
             return False
         seen.add(used)
-        if seq:
-            free = [j for j in free if not used >> j & 1 and follows(seq[-1], pool[j])]
-        for idx in free:
-            if extend(seq + [pool[idx]], used | 1 << idx, free):
+        rest = free
+        while rest:
+            q = (rest & -rest).bit_length() - 1
+            if extend(seq + [q], used | 1 << q, free & follow[q] & ~(1 << q)):
                 return True
+            rest &= rest - 1
         return False
 
-    extend([], 0, range(len(pool)))
-    return best
+    extend([], 0, (1 << len(pool)) - 1)
+    return [(elems[pool[q][0]], elems[pool[q][1]]) for q in best]
 
 
 def dickson_check(points):
@@ -500,6 +496,8 @@ def verify_claimed_subset(alg, lemma, bound, max_gap=DEFAULT_MAX_GAP):
         checked += 1
         if not is_member(alg, M, T, PLUS, max_gap):
             failures.append((M, T))
+    if not checked:
+        raise ValueError("lemma %s has no instance at bound %d" % (lemma, bound))
     if failures:
         listed = "; ".join(
             "%s not in L+(%s)" % (element_to_str(alg, T), element_to_str(alg, M))

@@ -268,9 +268,9 @@ def test_criterion_06_lemma_verifiers():
         (W3, "W_i", 3),
         (W3, "W_ii", 3),
         (H2, "H_1", 3),
-        (H2, "H_2", 3),
+        (H2, "H_2", 6),
         (H4, "H_1", 3),
-        (H4, "H_2", 3),
+        (H4, "H_2", 4),
         (K3, "K_1", 2),
         (K3, "K_2", 2),
         (S2, "S_i", 3),

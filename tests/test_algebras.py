@@ -66,8 +66,9 @@ class TestAlgebraSpec:
             assert algebra_to_str(parse_algebra(name)) == name
         with pytest.raises(ValueError):
             parse_algebra("witt-")
-        with pytest.raises(ValueError, match="unknown algebra name"):
-            parse_algebra("cartan-w:--3")
+        for name in ("cartan-w:--3", "cartan-w:²"):
+            with pytest.raises(ValueError, match="unknown algebra name"):
+                parse_algebra(name)
 
 
 class TestValidateElement:

@@ -216,6 +216,10 @@ class TestArguments:
             ("--alg", "witt+", "search-dicksonian", "--degree-bound", "3", "--length-bound", "-1"),
             ("--alg", "witt+", "--max-steps", "-5", "reduce", "e[4]", "--by", "e[1]^2"),
             ("--alg", "witt+", "--max-degree-gap", "-1", "l-member", "e[1]", "e[3]"),
+            ("--alg", "cartan-w:2", "verify-lemma", "W_i", "--bound", "0"),
+            ("--alg", "witt", "jacobi-test", "--window", "-3", "3", "--samples", "0"),
+            ("--alg", "witt+", "search-dicksonian", "--degree-bound", "0", "--length-bound", "3"),
+            ("--alg", "witt", "search-dicksonian", "--degree-bound", "3", "--length-bound", "0"),
         ],
         ids=[
             "dagger-inverted-window",
@@ -226,6 +230,10 @@ class TestArguments:
             "search-negative-length-bound",
             "negative-max-steps",
             "negative-max-degree-gap",
+            "lemma-no-instance",
+            "jacobi-zero-samples",
+            "search-empty-window",
+            "search-zero-length-bound",
         ],
     )
     def test_vacuous_inputs_rejected(self, capsys, argv):

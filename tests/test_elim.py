@@ -23,6 +23,7 @@ from gradedlie import (
     partial_reduce,
     verify_certificate,
 )
+from gradedlie import elim
 from gradedlie.algebras import e, order_key
 from helpers import P, WITT, WITT_POS, random_poly
 
@@ -84,6 +85,15 @@ class TestPartialReduce:
         assert term.gen == 0
         assert term.dtuple == DTuple((e(3),), PLUS)
         assert d_op(lam[0], term.dtuple) == P(WITT_POS, "4*e[1]*e[4]")
+        assert verify_certificate(WITT_POS, cert) is True
+
+    def test_offenders_found_by_witnesses_alone(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("is_member called during partial_reduce")
+
+        monkeypatch.setattr(elim, "is_member", refuse)
+        remainder, cert = partial_reduce(WITT_POS, P(WITT_POS, "e[4]"), (P(WITT_POS, "e[1]^2"),))
+        assert remainder.is_zero()
         assert verify_certificate(WITT_POS, cert) is True
 
     def test_already_reduced_is_identity(self):

@@ -115,6 +115,10 @@ SEARCH_GRID = (
     ]
     + [("witt", 2, 30), ("witt+", 3, 30), ("w1", 3, 30), ("witt+", 4, 30)]
     + [(name, 3, length) for name in ("loop-sl2", "example-d") for length in (4, 12)]
+    + [  # the other searches of the perfbench search workload
+        ("witt", 3, 20), ("witt+", 5, 30), ("witt+", 6, 12), ("witt+", 7, 12),
+        ("witt+", 9, 12), ("witt", 4, 10), ("virasoro", 3, 10), ("w1", 4, 30),
+    ]
     + [
         (name, bound, length)
         for name in ("cartan-w:2", "special-s:2", "hamiltonian:2", "contact:3")
@@ -243,6 +247,10 @@ class TestSearchLeadingDicksonian:
         assert len(seq) >= 2
         assert check_leading_dicksonian(WITT, seq).verdict is True
 
+    def test_degree_gap_guard(self):
+        with pytest.raises(DegreeGapExceeded):
+            search_leading_dicksonian(WITT, 3, 5, max_gap=2)
+
     @pytest.mark.parametrize("name, bound, length", SEARCH_GRID)
     def test_same_answer_as_reference(self, name, bound, length):
         alg = parse_algebra(name)
@@ -335,13 +343,18 @@ class TestVerifyClaimedSubset:
         with pytest.raises(ValueError):
             verify_claimed_subset(W2, "nonsense", 2)
 
+    def test_no_instance_rejected(self):
+        # an H_2 instance needs i_l = 2*i_partner >= 2 and a raise r >= 2
+        with pytest.raises(ValueError, match="no instance"):
+            verify_claimed_subset(H2, "H_2", 3)
+
     def test_cartan_w_small(self):
         assert verify_claimed_subset(W2, "W_i", 2).verdict is True
         assert verify_claimed_subset(W2, "W_ii", 2).verdict is True
 
     def test_hamiltonian_small(self):
         assert verify_claimed_subset(H2, "H_1", 2).verdict is True
-        assert verify_claimed_subset(H2, "H_2", 2).verdict is True
+        assert verify_claimed_subset(H2, "H_2", 6).verdict is True
 
     def test_contact_small(self):
         assert verify_claimed_subset(K3, "K_1", 1).verdict is True
