@@ -1,15 +1,26 @@
 """Command-line interface.
 
+    gradedlie --alg NAME [--format {text,json}] [--max-degree-gap N]
+              [--max-steps N] COMMAND ARG... [--option VALUE...]
+
+The grammar of every command is the table `_COMMANDS`; `gradedlie -h`
+prints the usage built from it.  Options are spelt in full, as `--name
+value` or `--name=value`, and may stand among the positionals.  Every
+option but -h is a --long one, so a token such as -e[4] or -1 is a value.
+
 Exit codes: 0 success / verdict true, 1 verdict false, 2 usage or parse
-error, 3 internal guard tripped (step budget, failed verification).
+error, 3 internal guard tripped (step budget, failed verification), 141
+stdout closed by its reader (as a process killed by SIGPIPE).
 """
 
 from __future__ import annotations
 
-import argparse
 import json
+import os
 import random
+import re
 import sys
+from types import SimpleNamespace
 
 from .algebras import (
     bracket_basis,
@@ -38,7 +49,7 @@ from .leaders import (
     search_leading_dicksonian,
     verify_claimed_subset,
 )
-from .poly import MINUS, PLUS, DTuple, Polynomial, d_op
+from .poly import MINUS, PLUS, DTuple, Polynomial, d_op, poisson_bracket
 from .textio import ParseError, cert_to_doc, parse_element, parse_poly, print_poly
 
 
@@ -46,70 +57,120 @@ class UsageError(ValueError):
     pass
 
 
-def _build_parser():
-    top = argparse.ArgumentParser(prog="gradedlie")
-    top.add_argument("--alg", required=True, help="algebra name, e.g. witt+ or cartan-w:3")
-    top.add_argument("--format", choices=["text", "json"], default="text")
-    top.add_argument("--max-degree-gap", type=int, default=DEFAULT_MAX_GAP)
-    top.add_argument("--max-steps", type=int, default=DEFAULT_MAX_STEPS)
-    sub = top.add_subparsers(dest="command", required=True)
+# The command grammar, the one place it lives.  An option maps to (the
+# count of its values: 0, 1, 2 or "+" for one or more; the type of each:
+# int, str, the tuple of allowed words, or None for a flag; its default, or
+# _REQUIRED).  A command maps to the names of its positionals, "+" marking
+# one or more, and to its options.  Global options come before the command.
+_REQUIRED = object()
+_GLOBAL = {
+    "--alg": (1, str, _REQUIRED),
+    "--format": (1, ("text", "json"), "text"),
+    "--max-degree-gap": (1, int, DEFAULT_MAX_GAP),
+    "--max-steps": (1, int, DEFAULT_MAX_STEPS),
+}
+_BY = {"--by": ("+", str, _REQUIRED)}
+_WINDOW = {"--window": (2, int, _REQUIRED)}
+_COMMANDS = {
+    "bracket": (("a", "b"), {}),
+    "pbracket": (("f", "g"), {}),
+    "dop": (("f", "entries+"), {}),
+    "leaders": (("f",), {}),
+    "reduce": (("g",), {**_BY, "--partial": (0, None, False)}),
+    "check-reduced": (("g",), _BY),
+    "check-reduced-seq": (("gens+",), {}),
+    "l-member": (("m", "t"), {"--minus": (0, None, False)}),
+    "check-dicksonian": (("pairs+",), {}),
+    "search-dicksonian": ((), {"--degree-bound": (1, int, _REQUIRED),
+                               "--length-bound": (1, int, _REQUIRED)}),
+    "verify-lemma": (("tag",), {"--bound": (1, int, _REQUIRED)}),
+    "check-dagger": ((), _WINDOW),
+    "check-cofinite": (("m",), _WINDOW),
+    "jacobi-test": ((), {**_WINDOW, "--samples": (1, int, 100), "--seed": (1, int, 0)}),
+}
 
-    p = sub.add_parser("bracket")
-    p.add_argument("a")
-    p.add_argument("b")
 
-    p = sub.add_parser("pbracket")
-    p.add_argument("f")
-    p.add_argument("g")
+def _value(name, kind, tok):
+    if kind is int:
+        try:
+            return int(tok)
+        except ValueError:
+            raise UsageError("%s: not an integer: %r" % (name, tok)) from None
+    if kind is not str and tok not in kind:
+        raise UsageError("%s must be one of %s: %r" % (name, ", ".join(kind), tok))
+    return tok
 
-    p = sub.add_parser("dop")
-    p.add_argument("f")
-    p.add_argument("entries", nargs="+")
 
-    p = sub.add_parser("leaders")
-    p.add_argument("f")
+def _parse(argv):
+    """The namespace of argv read against the grammar, or None if it asks
+    for the usage with -h or --help."""
+    if "-h" in argv or "--help" in argv:
+        return None
+    table, cmd, names, pos, got = _GLOBAL, None, (), [], {}
+    i = 0
+    while i < len(argv):
+        tok = argv[i]
+        i += 1
+        if not tok.startswith("--"):  # so -e[4] and -1 are values
+            if cmd is not None:
+                pos.append(tok)
+            elif tok in _COMMANDS:
+                cmd = tok
+                names, table = _COMMANDS[cmd]
+            else:
+                raise UsageError("unknown command %r" % tok)
+            continue
+        name, eq, tail = tok.partition("=")
+        if name not in table:
+            raise UsageError("unknown option %r" % name)
+        count, kind, _ = table[name]
+        j = i  # read values up to the next option, or until there are count
+        while not eq and j < len(argv) and not argv[j].startswith("--") and j - i != count:
+            j += 1
+        vals, i = [tail] if eq else argv[i:j], j
+        if len(vals) != count and not (count == "+" and vals):
+            want = "1 or more" if count == "+" else count
+            raise UsageError("%s takes %s value(s)" % (name, want))
+        vals = [_value(name, kind, v) for v in vals]
+        got[name] = True if count == 0 else vals[0] if count == 1 else vals
+    if cmd is None:
+        raise UsageError("missing command; see gradedlie -h")
+    args = {"command": cmd}
+    for name, (count, kind, default) in {**_GLOBAL, **table}.items():
+        if default is _REQUIRED and name not in got:
+            raise UsageError("%s is required" % name)
+        args[name[2:].replace("-", "_")] = got.get(name, default)
+    rest = bool(names) and names[-1].endswith("+")
+    if len(pos) < len(names) or len(pos) > len(names) and not rest:
+        raise UsageError("wrong number of arguments; usage: gradedlie [global options] %s"
+                         % _command_usage(cmd))
+    for k, name in enumerate(names):
+        args[name.rstrip("+")] = pos[k:] if name.endswith("+") else pos[k]
+    return SimpleNamespace(**args)
 
-    p = sub.add_parser("reduce")
-    p.add_argument("g")
-    p.add_argument("--by", nargs="+", required=True)
-    p.add_argument("--partial", action="store_true")
 
-    p = sub.add_parser("check-reduced")
-    p.add_argument("g")
-    p.add_argument("--by", nargs="+", required=True)
+def _usage_words(table):
+    words = []
+    for name, (count, kind, default) in table.items():
+        meta = "N" if kind is int else name[2:].upper()
+        if isinstance(kind, tuple):
+            meta = "{%s}" % ",".join(kind)
+        word = " ".join([name] + [meta] * (1 if count == "+" else count))
+        word += "..." if count == "+" else ""
+        words.append(word if default is _REQUIRED else "[%s]" % word)
+    return words
 
-    p = sub.add_parser("check-reduced-seq")
-    p.add_argument("gens", nargs="+")
 
-    p = sub.add_parser("l-member")
-    p.add_argument("m")
-    p.add_argument("t")
-    p.add_argument("--minus", action="store_true")
+def _command_usage(cmd):
+    names, table = _COMMANDS[cmd]
+    pos = [n.upper().replace("+", "...") for n in names]
+    return " ".join([cmd] + pos + _usage_words(table))
 
-    p = sub.add_parser("check-dicksonian")
-    p.add_argument("pairs", nargs="+")
 
-    p = sub.add_parser("search-dicksonian")
-    p.add_argument("--degree-bound", type=int, required=True)
-    p.add_argument("--length-bound", type=int, required=True)
-
-    p = sub.add_parser("verify-lemma")
-    p.add_argument("tag")
-    p.add_argument("--bound", type=int, required=True)
-
-    p = sub.add_parser("check-dagger")
-    p.add_argument("--window", type=int, nargs=2, required=True)
-
-    p = sub.add_parser("check-cofinite")
-    p.add_argument("m")
-    p.add_argument("--window", type=int, nargs=2, required=True)
-
-    p = sub.add_parser("jacobi-test")
-    p.add_argument("--window", type=int, nargs=2, required=True)
-    p.add_argument("--samples", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-
-    return top
+def _usage():
+    lines = ["usage: gradedlie %s COMMAND ..." % " ".join(_usage_words(_GLOBAL)), "",
+             "commands:"]
+    return "\n".join(lines + ["  " + _command_usage(cmd) for cmd in _COMMANDS])
 
 
 def _emit(args, doc):
@@ -132,23 +193,20 @@ def _report(args, rep, alg):
     return 0 if rep.verdict else 1
 
 
-def _parse_pair(alg, s):
-    s = s.strip()
-    if not (s.startswith("(") and s.endswith(")")):
-        raise UsageError("pair must look like (M,N): %r" % s)
-    inner = s[1:-1]
-    depth = 0
-    for pos, ch in enumerate(inner):
-        if ch == "[":
-            depth += 1
-        elif ch == "]":
-            depth -= 1
-        elif ch == "," and depth == 0:
-            return (
-                parse_element(alg, inner[:pos]),
-                parse_element(alg, inner[pos + 1 :]),
-            )
-    raise UsageError("pair must look like (M,N): %r" % s)
+# A pair (M,N) of check-dicksonian: M runs to the first comma outside its
+# [...], and spaces may stand anywhere, as search-dicksonian prints them.
+_PAIR = re.compile(r"\(((?:[^][(),]|\[[^][]*\])*),([^()]*)\)\s*")
+
+
+def _pairs(alg, text):
+    pairs, pos = [], 0
+    while pos < len(text):
+        m = _PAIR.match(text, pos)
+        if not m:
+            raise UsageError("pair must look like (M,N): %r" % text[pos:])
+        pairs.append((parse_element(alg, m[1]), parse_element(alg, m[2])))
+        pos = m.end()
+    return pairs
 
 
 def _failing_doc(alg, v):
@@ -248,8 +306,6 @@ def _run(args):
         return 0
 
     if cmd == "pbracket":
-        from .poly import poisson_bracket
-
         f = parse_poly(alg, args.f)
         g = parse_poly(alg, args.g)
         out = poisson_bracket(f, g)
@@ -310,10 +366,7 @@ def _run(args):
         return _report(args, l_member(alg, m, t, MINUS if args.minus else PLUS, max_gap=gap), alg)
 
     if cmd == "check-dicksonian":
-        pairs = []
-        for chunk in args.pairs:
-            for piece in chunk.split():
-                pairs.append(_parse_pair(alg, piece))
+        pairs = _pairs(alg, " ".join(args.pairs).strip())
         return _report(args, check_leading_dicksonian(alg, pairs, max_gap=gap), alg)
 
     if cmd == "search-dicksonian":
@@ -358,21 +411,12 @@ def _run(args):
     raise UsageError("unknown command %r" % cmd)
 
 
-def _values(argv):
-    """Mark every token that starts with a single "-", other than -h, as a
-    value by a leading space.  Every other option is a --long one, so such
-    a token (the polynomial -e[4], the bound -1) can only be a value, and
-    the parsers of polynomials, elements and integers skip the space."""
-    return [" " + a if a[:1] == "-" and a[:2] != "--" and a != "-h" else a for a in argv]
-
-
 def main(argv=None):
-    parser = _build_parser()
     try:
-        args = parser.parse_args(_values(sys.argv[1:] if argv is None else argv))
-    except SystemExit as exc:
-        return exc.code if exc.code is not None else 0
-    try:
+        args = _parse(sys.argv[1:] if argv is None else argv)
+        if args is None:
+            print(_usage())
+            return 0
         return _run(args)
     except (ParseError, UsageError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
@@ -383,7 +427,16 @@ def main(argv=None):
 
 
 def entrypoint():
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader of stdout has gone (`gradedlie ... | head -1`).  Point
+        # stdout at devnull so the flush at exit stays quiet, and exit as a
+        # process killed by SIGPIPE would.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 128 + 13
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -1,10 +1,16 @@
 """Command-line interface: subcommands, exit codes, output formats."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import gradedlie.cli
 from gradedlie.cli import main
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(gradedlie.cli.__file__)))
 
 
 def run(capsys, *argv):
@@ -287,3 +293,145 @@ class TestTextFormat:
     def test_exact_text(self, capsys, argv, text):
         code, out, _ = run(capsys, *argv)
         assert out == text
+
+
+def python(code, *args, **kw):
+    """Run code in a fresh, isolated interpreter that imports gradedlie from SRC."""
+    prelude = "import sys; sys.path.insert(0, %r); " % SRC
+    return subprocess.run([sys.executable, "-I", "-c", prelude + code, *args], timeout=120, **kw)
+
+
+PARTIAL_E4 = (
+    "remainder: 0\n"
+    "multiplier[0]: initial^0 * sep+^1 * sep-^0  (generator e[1]^2)\n"
+    "term: (1/2) * D_(e[3])(generator 0)\n"
+)
+
+COMMANDS = [
+    "bracket", "pbracket", "dop", "leaders", "reduce", "check-reduced", "check-reduced-seq",
+    "l-member", "check-dicksonian", "search-dicksonian", "verify-lemma", "check-dagger",
+    "check-cofinite", "jacobi-test",
+]
+
+
+class TestCommandLine:
+    """The command line is read against the grammar table, one token at a time."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--alg", "witt+", "--frobnicate", "bracket", "e[1]", "e[2]"),
+            ("--alg", "witt+", "bracket", "e[1]", "e[2]", "--minus"),
+            ("--alg", "witt+", "bracket", "e[1]", "e[2]", "--format", "json"),
+            ("--alg", "witt+", "search-dicksonian", "--deg", "3", "--length-bound", "4"),
+            ("--al", "witt+", "bracket", "e[1]", "e[2]"),
+            ("--alg", "witt+", "frobnicate", "e[1]"),
+            ("--alg", "witt+"),
+            (),
+            ("bracket", "e[1]", "e[2]"),
+            ("--alg", "witt+", "reduce", "e[4]"),
+            ("--alg", "witt", "check-dagger"),
+            ("--alg", "witt", "check-dagger", "--window", "-3", "x"),
+            ("--alg", "witt+", "--max-steps", "many", "reduce", "e[4]", "--by", "e[1]^2"),
+            ("--alg", "witt+", "--format", "xml", "bracket", "e[1]", "e[2]"),
+            ("--alg", "witt+", "bracket", "e[1]"),
+            ("--alg", "witt+", "bracket", "e[1]", "e[2]", "e[3]"),
+            ("--alg", "witt+", "check-reduced-seq"),
+            ("--alg", "witt+", "search-dicksonian", "3",
+             "--degree-bound", "3", "--length-bound", "4"),
+            ("--alg", "cartan-w:2", "verify-lemma", "W_i", "--bound"),
+            ("--alg", "witt", "check-dagger", "--window", "-3"),
+            ("--alg", "witt", "check-dagger", "--window=-3", "3"),
+            ("--alg", "witt+", "reduce", "e[4]", "--by", "--partial"),
+            ("--alg", "witt+", "reduce", "e[4]", "--by", "e[1]^2", "--partial=yes"),
+        ],
+        ids=[
+            "unknown-global-option",
+            "unknown-command-option",
+            "global-option-after-command",
+            "abbreviated-option",
+            "abbreviated-global-option",
+            "unknown-command",
+            "missing-command",
+            "empty-command-line",
+            "missing-alg",
+            "missing-by",
+            "missing-window",
+            "non-integer-value",
+            "non-integer-global-value",
+            "format-not-text-or-json",
+            "too-few-positionals",
+            "too-many-positionals",
+            "missing-one-or-more-positionals",
+            "positional-to-a-command-without-any",
+            "option-without-its-value",
+            "window-with-one-value",
+            "window-with-one-value-after-equals",
+            "by-without-values",
+            "flag-with-a-value",
+        ],
+    )
+    def test_malformed_command_lines_rejected(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--alg", "witt+", "reduce", "--partial", "e[4]", "--by", "e[1]^2"),
+            ("--alg", "witt+", "reduce", "e[4]", "--by", "e[1]^2", "--partial"),
+            ("--alg=witt+", "reduce", "e[4]", "--partial", "--by=e[1]^2"),
+        ],
+        ids=["flag-first", "flag-last", "equals-form"],
+    )
+    def test_options_stand_among_positionals(self, capsys, argv):
+        assert run(capsys, *argv) == (0, PARTIAL_E4, "")
+
+    def test_format_equals_form(self, capsys):
+        code, out, _ = run(capsys, "--alg", "witt+", "--format=json", "bracket", "e[1]", "e[2]")
+        assert (code, json.loads(out)) == (0, {"result": "e[3]"})
+
+    @pytest.mark.parametrize("argv", [("-h",), ("--alg", "witt+", "bracket", "--help")])
+    def test_help_names_every_command(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: gradedlie --alg")
+        assert [line.split()[0] for line in out.splitlines() if line.startswith("  ")] == COMMANDS
+
+    @pytest.mark.parametrize(
+        "alg, degree, length", [("witt+", 3, 10), ("witt", 2, 30), ("w1", 4, 30)]
+    )
+    def test_check_dicksonian_reads_search_output(self, capsys, alg, degree, length):
+        code, out, _ = run(capsys, "--alg", alg, "search-dicksonian",
+                           "--degree-bound", str(degree), "--length-bound", str(length))
+        assert code == 0
+        pairs = out.splitlines()[1:]
+        assert pairs and all(", " in pair for pair in pairs)
+        # One argument a pair, and the same text split at every space as an
+        # unquoted $(...) in a shell splits it.
+        for args in (pairs, " ".join(pairs).split()):
+            code, out, _ = run(capsys, "--alg", alg, "check-dicksonian", *args)
+            assert (code, out.splitlines()[0]) == (0, "verdict: true")
+
+    def test_closed_stdout_exits_141_without_traceback(self):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = python("from gradedlie.cli import entrypoint; entrypoint()",
+                          "--alg", "witt+", "search-dicksonian", "--degree-bound", "2",
+                          "--length-bound", "3", stdout=write_end, stderr=subprocess.PIPE)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 141
+        assert b"Traceback" not in proc.stderr
+
+    def test_a_command_imports_no_argparse_gettext_or_locale(self):
+        proc = python(
+            "import gradedlie.cli; "
+            "gradedlie.cli.main(['--alg', 'witt+', 'l-member', 'e[1]', 'e[2]']); "
+            "print(sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))",
+            capture_output=True, text=True,
+        )
+        lines = proc.stdout.splitlines()
+        assert (lines[0], lines[-1]) == ("verdict: false", "[]")
