@@ -42,7 +42,6 @@ from .leaders import (
     l_condition_holds,
     l_member,
     search_leading_dicksonian,
-    tuple_space,
     verify_claimed_subset,
 )
 from .poly import (
@@ -52,7 +51,6 @@ from .poly import (
     ConstantPolynomial,
     DTuple,
     Polynomial,
-    compare_rank,
     d_leader,
     d_op,
     poisson_bracket,

@@ -3,10 +3,10 @@
     gradedlie --alg NAME [--format {text,json}] [--max-degree-gap N]
               [--max-steps N] COMMAND ARG... [--option VALUE...]
 
-The grammar of every command is the table `_COMMANDS`; `gradedlie -h`
-prints the usage built from it.  Options are spelt in full, as `--name
-value` or `--name=value`, and may stand among the positionals.  Every
-option but -h is a --long one, so a token such as -e[4] or -1 is a value.
+Each command is one entry of the table `_COMMANDS`, its grammar and its
+handler; `gradedlie -h` prints the usage built from it.  Options are spelt
+in full, as `--name value` or `--name=value`, and may stand among the
+positionals.  Every option but -h is a --long one, so -e[4] is a value.
 
 Exit codes: 0 success / verdict true, 1 verdict false, 2 usage or parse
 error, 3 internal guard tripped (step budget, failed verification), 141
@@ -57,11 +57,17 @@ class UsageError(ValueError):
     pass
 
 
-# The command grammar, the one place it lives.  An option maps to (the
-# count of its values: 0, 1, 2 or "+" for one or more; the type of each:
-# int, str, the tuple of allowed words, or None for a flag; its default, or
+class _Unverified(Exception):
+    """A certificate that verify_certificate refuses: exit 3."""
+
+
+# The commands, the one place each lives.  An option maps to (the count of
+# its values: 0, 1, 2 or "+" for one or more; the type of each: int, str,
+# the tuple of allowed words, or None for a flag; its default, or
 # _REQUIRED).  A command maps to the names of its positionals, "+" marking
-# one or more, and to its options.  Global options come before the command.
+# one or more, to its options, and to its handler, which takes the algebra
+# and the command line, its arguments read, to the JSON document.  Global
+# options come before the command.
 _REQUIRED = object()
 _GLOBAL = {
     "--alg": (1, str, _REQUIRED),
@@ -71,23 +77,94 @@ _GLOBAL = {
 }
 _BY = {"--by": ("+", str, _REQUIRED)}
 _WINDOW = {"--window": (2, int, _REQUIRED)}
+
+
+def _dop(alg, args):
+    degs = [degree(alg, b) for b in args.entries]
+    if all(d > 0 for d in degs):
+        sign = PLUS
+    elif all(d < 0 for d in degs):
+        sign = MINUS
+    else:
+        raise UsageError("tuple entries must have uniform degree sign")
+    return {"result": print_poly(d_op(args.f, DTuple(tuple(args.entries), sign)))}
+
+
+def _leaders(alg, args):
+    f = args.f
+    return {name: {"leader": element_to_str(alg, f.leader(sign)),
+                   "degree": f.degree_in(f.leader(sign)),
+                   "initial": print_poly(f.initial(sign)),
+                   "separant": print_poly(f.separant(sign))}
+            for sign, name in ((PLUS, "upper"), (MINUS, "lower"))}
+
+
+def _reduce(alg, args):
+    fn = partial_reduce if args.partial else full_reduce
+    _, cert = fn(alg, args.g, args.by, max_gap=args.max_degree_gap, max_steps=args.max_steps)
+    if not verify_certificate(alg, cert):
+        raise _Unverified("certificate failed verification")
+    return cert_to_doc(cert)
+
+
+def _search_dicksonian(alg, args):
+    seq = search_leading_dicksonian(alg, args.degree_bound, args.length_bound,
+                                    max_gap=args.max_degree_gap)
+    return {"length": len(seq), "sequence": [
+        "(%s, %s)" % (element_to_str(alg, m), element_to_str(alg, n)) for m, n in seq]}
+
+
+def _jacobi_test(alg, args):
+    if args.samples <= 0:
+        raise UsageError("--samples must be positive")
+    pool = elements_in_window(alg, *args.window)
+    if not pool:
+        raise UsageError("empty degree window")
+    rng = random.Random(args.seed)
+    for _ in range(args.samples):
+        a, b, c = (rng.choice(pool) for _ in range(3))
+        if jacobi_residual(alg, a, b, c):
+            return {"verdict": False,
+                    "counterexample": [element_to_str(alg, t) for t in (a, b, c)]}
+    return {"verdict": True}
+
+
 _COMMANDS = {
-    "bracket": (("a", "b"), {}),
-    "pbracket": (("f", "g"), {}),
-    "dop": (("f", "entries+"), {}),
-    "leaders": (("f",), {}),
-    "reduce": (("g",), {**_BY, "--partial": (0, None, False)}),
-    "check-reduced": (("g",), _BY),
-    "check-reduced-seq": (("gens+",), {}),
-    "l-member": (("m", "t"), {"--minus": (0, None, False)}),
-    "check-dicksonian": (("pairs+",), {}),
+    "bracket": (("a", "b"), {}, lambda alg, args: {
+        "result": print_poly(Polynomial.from_lie(alg, bracket_basis(alg, args.a, args.b)))}),
+    "pbracket": (("f", "g"), {}, lambda alg, args: {
+        "result": print_poly(poisson_bracket(args.f, args.g))}),
+    "dop": (("f", "entries+"), {}, _dop),
+    "leaders": (("f",), {}, _leaders),
+    "reduce": (("g",), {**_BY, "--partial": (0, None, False)}, _reduce),
+    "check-reduced": (("g",), _BY, lambda alg, args: {
+        "verdict": is_reduced(alg, args.g, args.by, max_gap=args.max_degree_gap)}),
+    "check-reduced-seq": (("gens+",), {}, lambda alg, args: {
+        "verdict": is_reduced_sequence(alg, args.gens, max_gap=args.max_degree_gap)}),
+    "l-member": (("m", "t"), {"--minus": (0, None, False)}, lambda alg, args: _report_doc(
+        l_member(alg, args.m, args.t, MINUS if args.minus else PLUS,
+                 max_gap=args.max_degree_gap), alg)),
+    "check-dicksonian": (("pairs+",), {}, lambda alg, args: _report_doc(
+        check_leading_dicksonian(alg, _pairs(alg, " ".join(args.pairs).strip()),
+                                 max_gap=args.max_degree_gap), alg)),
     "search-dicksonian": ((), {"--degree-bound": (1, int, _REQUIRED),
-                               "--length-bound": (1, int, _REQUIRED)}),
-    "verify-lemma": (("tag",), {"--bound": (1, int, _REQUIRED)}),
-    "check-dagger": ((), _WINDOW),
-    "check-cofinite": (("m",), _WINDOW),
-    "jacobi-test": ((), {**_WINDOW, "--samples": (1, int, 100), "--seed": (1, int, 0)}),
+                               "--length-bound": (1, int, _REQUIRED)}, _search_dicksonian),
+    "verify-lemma": (("tag",), {"--bound": (1, int, _REQUIRED)}, lambda alg, args: _report_doc(
+        verify_claimed_subset(alg, args.tag, args.bound, max_gap=args.max_degree_gap), alg)),
+    "check-dagger": ((), _WINDOW, lambda alg, args: _report_doc(
+        check_dagger(alg, tuple(args.window)), alg)),
+    "check-cofinite": (("m",), _WINDOW, lambda alg, args: _report_doc(check_cofinite_window(
+        alg, args.m, tuple(args.window), max_gap=args.max_degree_gap), alg)),
+    "jacobi-test": ((), {**_WINDOW, "--samples": (1, int, 100), "--seed": (1, int, 0)},
+                    _jacobi_test),
 }
+
+# The reader of each typed argument, applied to each of its values in this
+# order; a lambda, so a tracer that rebinds parse_element sees the call.
+_ELEMENT = lambda alg, text: parse_element(alg, text)  # noqa: E731
+_POLY = lambda alg, text: parse_poly(alg, text)  # noqa: E731
+_READERS = {"a": _ELEMENT, "b": _ELEMENT, "m": _ELEMENT, "t": _ELEMENT, "f": _POLY, "g": _POLY,
+            "entries": _ELEMENT, "gens": _POLY, "by": _POLY}
 
 
 def _value(name, kind, tok):
@@ -116,7 +193,7 @@ def _parse(argv):
                 pos.append(tok)
             elif tok in _COMMANDS:
                 cmd = tok
-                names, table = _COMMANDS[cmd]
+                names, table, _ = _COMMANDS[cmd]
             else:
                 raise UsageError("unknown command %r" % tok)
             continue
@@ -162,7 +239,7 @@ def _usage_words(table):
 
 
 def _command_usage(cmd):
-    names, table = _COMMANDS[cmd]
+    names, table, _ = _COMMANDS[cmd]
     pos = [n.upper().replace("+", "...") for n in names]
     return " ".join([cmd] + pos + _usage_words(table))
 
@@ -179,18 +256,6 @@ def _emit(args, doc):
     else:
         for line in _text(doc):
             print(line)
-
-
-def _verdict(args, ok, extra_doc=None):
-    doc = {"verdict": bool(ok)}
-    doc.update(extra_doc or {})
-    _emit(args, doc)
-    return 0 if ok else 1
-
-
-def _report(args, rep, alg):
-    _emit(args, _report_doc(rep, alg))
-    return 0 if rep.verdict else 1
 
 
 # A pair (M,N) of check-dicksonian: M runs to the first comma outside its
@@ -291,124 +356,17 @@ def _text(doc):
 
 def _run(args):
     alg = parse_algebra(args.alg)
-    gap = args.max_degree_gap
-    steps = args.max_steps
-    for flag, value in (("--max-degree-gap", gap), ("--max-steps", steps)):
+    for flag, value in (("--max-degree-gap", args.max_degree_gap),
+                        ("--max-steps", args.max_steps)):
         if value < 0:
             raise UsageError("%s must not be negative" % flag)
-    cmd = args.command
-
-    if cmd == "bracket":
-        a = parse_element(alg, args.a)
-        b = parse_element(alg, args.b)
-        out = Polynomial.from_lie(alg, bracket_basis(alg, a, b))
-        _emit(args, {"result": print_poly(out)})
-        return 0
-
-    if cmd == "pbracket":
-        f = parse_poly(alg, args.f)
-        g = parse_poly(alg, args.g)
-        out = poisson_bracket(f, g)
-        _emit(args, {"result": print_poly(out)})
-        return 0
-
-    if cmd == "dop":
-        f = parse_poly(alg, args.f)
-        entries = tuple(parse_element(alg, s) for s in args.entries)
-        degs = [degree(alg, b) for b in entries]
-        if all(d > 0 for d in degs):
-            sign = PLUS
-        elif all(d < 0 for d in degs):
-            sign = MINUS
-        else:
-            raise UsageError("tuple entries must have uniform degree sign")
-        out = d_op(f, DTuple(entries, sign))
-        _emit(args, {"result": print_poly(out)})
-        return 0
-
-    if cmd == "leaders":
-        f = parse_poly(alg, args.f)
-        doc = {}
-        for sign, name in ((PLUS, "upper"), (MINUS, "lower")):
-            l = f.leader(sign)
-            doc[name] = {
-                "leader": element_to_str(alg, l),
-                "degree": f.degree_in(l),
-                "initial": print_poly(f.initial(sign)),
-                "separant": print_poly(f.separant(sign)),
-            }
-        _emit(args, doc)
-        return 0
-
-    if cmd == "reduce":
-        g = parse_poly(alg, args.g)
-        lam = [parse_poly(alg, s) for s in args.by]
-        fn = partial_reduce if args.partial else full_reduce
-        remainder, cert = fn(alg, g, lam, max_gap=gap, max_steps=steps)
-        if not verify_certificate(alg, cert):
-            print("internal error: certificate failed verification", file=sys.stderr)
-            return 3
-        _emit(args, cert_to_doc(cert))
-        return 0
-
-    if cmd == "check-reduced":
-        g = parse_poly(alg, args.g)
-        lam = [parse_poly(alg, s) for s in args.by]
-        return _verdict(args, is_reduced(alg, g, lam, max_gap=gap))
-
-    if cmd == "check-reduced-seq":
-        lam = [parse_poly(alg, s) for s in args.gens]
-        return _verdict(args, is_reduced_sequence(alg, lam, max_gap=gap))
-
-    if cmd == "l-member":
-        m = parse_element(alg, args.m)
-        t = parse_element(alg, args.t)
-        return _report(args, l_member(alg, m, t, MINUS if args.minus else PLUS, max_gap=gap), alg)
-
-    if cmd == "check-dicksonian":
-        pairs = _pairs(alg, " ".join(args.pairs).strip())
-        return _report(args, check_leading_dicksonian(alg, pairs, max_gap=gap), alg)
-
-    if cmd == "search-dicksonian":
-        seq = search_leading_dicksonian(
-            alg, args.degree_bound, args.length_bound, max_gap=gap
-        )
-        named = [
-            "(%s, %s)" % (element_to_str(alg, m), element_to_str(alg, n))
-            for m, n in seq
-        ]
-        _emit(args, {"length": len(seq), "sequence": named})
-        return 0
-
-    if cmd == "verify-lemma":
-        return _report(args, verify_claimed_subset(alg, args.tag, args.bound, max_gap=gap), alg)
-
-    if cmd == "check-dagger":
-        return _report(args, check_dagger(alg, tuple(args.window)), alg)
-
-    if cmd == "check-cofinite":
-        m = parse_element(alg, args.m)
-        return _report(args, check_cofinite_window(alg, m, tuple(args.window), max_gap=gap), alg)
-
-    if cmd == "jacobi-test":
-        if args.samples <= 0:
-            raise UsageError("--samples must be positive")
-        lo, hi = args.window
-        pool = elements_in_window(alg, lo, hi)
-        if not pool:
-            raise UsageError("empty degree window")
-        rng = random.Random(args.seed)
-        bad = None
-        for _ in range(args.samples):
-            a, b, c = (rng.choice(pool) for _ in range(3))
-            if jacobi_residual(alg, a, b, c):
-                bad = (a, b, c)
-                break
-        if bad is None:
-            return _verdict(args, True)
-        return _verdict(args, False, {"counterexample": [element_to_str(alg, t) for t in bad]})
-
-    raise UsageError("unknown command %r" % cmd)
+    for name, read in _READERS.items():
+        if hasattr(args, name):
+            v = getattr(args, name)
+            setattr(args, name, [read(alg, s) for s in v] if isinstance(v, list) else read(alg, v))
+    doc = _COMMANDS[args.command][2](alg, args)
+    _emit(args, doc)
+    return 0 if doc.get("verdict", True) else 1
 
 
 def main(argv=None):
@@ -423,6 +381,9 @@ def main(argv=None):
         return 2
     except (NonTermination, DegreeGapExceeded) as exc:
         print("guard: %s" % exc, file=sys.stderr)
+        return 3
+    except _Unverified as exc:
+        print("internal error: %s" % exc, file=sys.stderr)
         return 3
 
 

@@ -90,11 +90,6 @@ def iter_tuples(alg, d, sign, max_gap=DEFAULT_MAX_GAP):
             yield DTuple(t, sign)
 
 
-def tuple_space(alg, d, sign, max_gap=DEFAULT_MAX_GAP):
-    """Materialized iter_tuples, in the canonical enumeration order."""
-    return list(iter_tuples(alg, d, sign, max_gap))
-
-
 def l_condition_holds(alg, M, t):
     """Whether the iterated leader of M along t dominates all rivals.
 
@@ -259,11 +254,17 @@ def dickson_check(points):
 # Structural hypotheses on the algebra itself
 
 
-def _window(window):
+def _window(alg, window, least):
+    """The basis elements of a degree window, refused if it is inverted or
+    holds fewer than `least` of them: a check on it would check nothing."""
     lo, hi = window
     if lo > hi:
         raise ValueError("inverted degree window (%d, %d)" % (lo, hi))
-    return lo, hi
+    elems = elements_in_window(alg, lo, hi)
+    if len(elems) < least:
+        raise ValueError("degree window (%d, %d) holds %d basis element(s); the check needs %d"
+                         % (lo, hi, len(elems), least))
+    return elems
 
 
 def check_dagger(alg, window):
@@ -274,8 +275,7 @@ def check_dagger(alg, window):
     (b) for same-sign M1 < M2 and M with [M1,M], [M2,M] nonzero, the
         extreme leaders satisfy l([M1,M]) < l([M2,M]).
     """
-    lo, hi = _window(window)
-    elems = elements_in_window(alg, lo, hi)
+    elems = _window(alg, window, 2)
     for a, b in itertools.combinations(elems, 2):
         br = bracket_basis(alg, a, b)
         if len(br) > 1:
@@ -322,11 +322,12 @@ def check_cofinite_window(alg, M, window, max_gap=DEFAULT_MAX_GAP):
     exceptions stay strictly inside the window, or the window already
     reaches the algebra's least degree so nothing below is missed.
     """
-    lo, hi = _window(window)
+    elems = _window(alg, window, 1)
+    lo, hi = window
     validate_element(alg, M)
     dM = degree(alg, M)
     exceptions = []
-    for T in elements_in_window(alg, lo, hi):
+    for T in elems:
         dT = degree(alg, T)
         if dT > dM:
             ok = is_member(alg, M, T, PLUS, max_gap)

@@ -49,10 +49,6 @@ def mono(alg, pairs):
     return tuple(sorted(merged.items(), key=lambda p: order_key(alg, p[0])))
 
 
-def mono_mul(alg, m1, m2):
-    return mono(alg, list(m1) + list(m2))
-
-
 def mono_sort_key(alg, m):
     """Key for the leader-major canonical order on monomials."""
     return tuple((order_key(alg, b), x) for b, x in reversed(m))
@@ -149,7 +145,7 @@ class Polynomial:
         t = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                m = mono_mul(self.alg, m1, m2)
+                m = mono(self.alg, m1 + m2)
                 nc = t.get(m, Fraction(0)) + c1 * c2
                 if nc:
                     t[m] = nc
@@ -236,12 +232,6 @@ class Polynomial:
         """(leader key, leader degree); compared lexicographically."""
         l = self.leader(sign)
         return (order_key(self.alg, l), self.degree_in(l))
-
-
-def compare_rank(f, g, sign):
-    """-1, 0 or 1 comparing ranks of two nonconstant polynomials."""
-    rf, rg = f.rank(sign), g.rank(sign)
-    return (rf > rg) - (rf < rg)
 
 
 def poisson_bracket(f, g):

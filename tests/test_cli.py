@@ -2,6 +2,7 @@
 
 import json
 import os
+import shlex
 import subprocess
 import sys
 
@@ -11,6 +12,25 @@ import gradedlie.cli
 from gradedlie.cli import main
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(gradedlie.cli.__file__)))
+README = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "README.md")
+
+
+def readme_examples():
+    """The gradedlie lines of the sh block under README "CLI", each as
+    (argv, the text of its trailing # comment)."""
+    with open(README) as fh:
+        block = fh.read().split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    examples = []
+    for line in block.splitlines():
+        command, _, comment = line.partition("#")
+        argv = shlex.split(command)
+        assert argv[0] == "gradedlie", line
+        examples.append((argv[1:], comment.strip()))
+    assert examples
+    return examples
+
+
+EXAMPLES = readme_examples()
 
 
 def run(capsys, *argv):
@@ -198,6 +218,12 @@ class TestErrorHandling:
         assert code == 3
         assert err
 
+    def test_unverified_certificate_exits_3(self, capsys, monkeypatch):
+        monkeypatch.setattr(gradedlie.cli, "verify_certificate", lambda alg, cert: False)
+        code, out, err = run(capsys, "--alg", "witt+", "reduce", "e[4]", "--by", "e[1]^2")
+        assert (code, out) == (3, "")
+        assert err == "internal error: certificate failed verification\n"
+
 
 class TestArguments:
     def test_leading_minus_polynomial_is_a_value(self, capsys):
@@ -226,6 +252,10 @@ class TestArguments:
             ("--alg", "witt", "jacobi-test", "--window", "-3", "3", "--samples", "0"),
             ("--alg", "witt+", "search-dicksonian", "--degree-bound", "0", "--length-bound", "3"),
             ("--alg", "witt", "search-dicksonian", "--degree-bound", "3", "--length-bound", "0"),
+            ("--alg", "witt+", "check-dagger", "--window", "-3", "0"),
+            ("--alg", "witt+", "check-dagger", "--window", "1", "1"),
+            ("--alg", "witt", "check-dagger", "--window", "50", "50"),
+            ("--alg", "witt+", "check-cofinite", "e[1]", "--window", "-3", "0"),
         ],
         ids=[
             "dagger-inverted-window",
@@ -240,6 +270,10 @@ class TestArguments:
             "jacobi-zero-samples",
             "search-empty-window",
             "search-zero-length-bound",
+            "dagger-empty-window",
+            "dagger-one-element-window",
+            "dagger-one-element-window-far-out",
+            "cofinite-empty-window",
         ],
     )
     def test_vacuous_inputs_rejected(self, capsys, argv):
@@ -413,6 +447,14 @@ class TestCommandLine:
         for args in (pairs, " ".join(pairs).split()):
             code, out, _ = run(capsys, "--alg", alg, "check-dicksonian", *args)
             assert (code, out.splitlines()[0]) == (0, "verdict: true")
+
+    @pytest.mark.parametrize("argv, comment", EXAMPLES, ids=[" ".join(a) for a, _ in EXAMPLES])
+    def test_readme_examples(self, capsys, argv, comment):
+        code, out, err = run(capsys, *argv)
+        assert code in (0, 1)
+        assert err == ""
+        if argv[2] == "pbracket":
+            assert out == comment + "\n"
 
     def test_closed_stdout_exits_141_without_traceback(self):
         read_end, write_end = os.pipe()

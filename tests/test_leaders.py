@@ -17,7 +17,6 @@ from gradedlie import (
     l_condition_holds,
     l_member,
     search_leading_dicksonian,
-    tuple_space,
     verify_claimed_subset,
 )
 from gradedlie import leaders
@@ -34,7 +33,7 @@ from gradedlie.algebras import (
     sb,
     w,
 )
-from gradedlie.leaders import is_member
+from gradedlie.leaders import is_member, iter_tuples
 from helpers import EXD, H2, K3, S2, S3, SL2, VIR, W1, W2, WINDOWS, WITT, WITT_POS
 
 
@@ -130,29 +129,29 @@ SEARCH_GRID = (
 
 class TestTupleSpace:
     def test_positive_compositions(self):
-        assert tuple_space(WITT_POS, 2, PLUS) == [
+        assert list(iter_tuples(WITT_POS, 2, PLUS)) == [
             DTuple((e(2),), PLUS),
             DTuple((e(1), e(1)), PLUS),
         ]
 
     def test_negative_singleton(self):
-        assert tuple_space(WITT, -1, MINUS) == [DTuple((e(-1),), MINUS)]
+        assert list(iter_tuples(WITT, -1, MINUS)) == [DTuple((e(-1),), MINUS)]
 
     def test_zero_degree_rejected(self):
         with pytest.raises(ValueError):
-            tuple_space(WITT, 0, PLUS)
+            list(iter_tuples(WITT, 0, PLUS))
 
     def test_sign_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            tuple_space(WITT, 2, MINUS)
+            list(iter_tuples(WITT, 2, MINUS))
 
     def test_gap_guard(self):
         with pytest.raises(DegreeGapExceeded):
-            tuple_space(WITT, 10, PLUS, max_gap=5)
-        tuple_space(WITT, 10, PLUS, max_gap=10)
+            list(iter_tuples(WITT, 10, PLUS, max_gap=5))
+        list(iter_tuples(WITT, 10, PLUS, max_gap=10))
 
     def test_total_degree_invariant(self):
-        for t in tuple_space(WITT, 4, PLUS):
+        for t in iter_tuples(WITT, 4, PLUS):
             assert sum(degree(WITT, b) for b in t.entries) == 4
             t.validate(WITT)
 
@@ -162,7 +161,7 @@ class TestTupleSpace:
         for d in range(min(lo, -1), max(hi, 1) + 1):
             if d:
                 sign = PLUS if d > 0 else MINUS
-                assert tuple_space(alg, d, sign) == sorted_tuples(alg, d, sign), d
+                assert list(iter_tuples(alg, d, sign)) == sorted_tuples(alg, d, sign), d
 
 
 class TestLCondition:
@@ -318,6 +317,18 @@ class TestCheckDagger:
 
     def test_special_s2(self):
         assert check_dagger(S2, WINDOWS[S2]).verdict is True
+
+    def test_vacuous_windows_rejected(self):
+        # no basis element, or one, leaves no pair to check; the cofiniteness
+        # probe needs one element, so only an empty window is refused
+        for window in ((-3, 0), (1, 1)):
+            with pytest.raises(ValueError, match="holds"):
+                check_dagger(WITT_POS, window)
+        with pytest.raises(ValueError, match="holds 1 basis element"):
+            check_dagger(WITT, (50, 50))
+        with pytest.raises(ValueError, match="holds 0 basis element"):
+            check_cofinite_window(WITT_POS, e(1), (-3, 0))
+        assert check_cofinite_window(WITT_POS, e(1), (1, 1)).verdict is False
 
 
 class TestCofiniteWindow:

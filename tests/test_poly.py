@@ -13,7 +13,6 @@ from gradedlie import (
     DTuple,
     Polynomial,
     bracket_basis,
-    compare_rank,
     d_leader,
     d_op,
     poisson_bracket,
@@ -98,13 +97,13 @@ class TestLeaders:
 
 class TestCompareRank:
     def test_same_leader_lower_degree(self):
-        assert compare_rank(P(WITT_POS, "e[1]^2"), P(WITT_POS, "e[1]^3"), PLUS) == -1
+        assert P(WITT_POS, "e[1]^2").rank(PLUS) < P(WITT_POS, "e[1]^3").rank(PLUS)
 
     def test_leader_dominates_degree(self):
-        assert compare_rank(P(WITT_POS, "e[1]^9"), P(WITT_POS, "e[2]"), PLUS) == -1
+        assert P(WITT_POS, "e[1]^9").rank(PLUS) < P(WITT_POS, "e[2]").rank(PLUS)
 
     def test_equal(self):
-        assert compare_rank(P(WITT_POS, "e[1]^2"), P(WITT_POS, "e[1]^2"), PLUS) == 0
+        assert P(WITT_POS, "e[1]^2").rank(PLUS) == P(WITT_POS, "e[1]^2").rank(PLUS)
 
 
 class TestPoissonBracket:
