@@ -15,7 +15,11 @@ cheap to compare:
     ("x", n), ("y",)    the rank-one example: x_n of degree n, y of degree 1
 
 A Lie element (finite linear combination of basis elements) is a dict
-mapping basis element to Fraction with no zero values.
+mapping basis element to its coefficient, with no zero values: an int
+while integral, else a Fraction.  Only two steps divide: Virasoro's
+central term (n^3 - n)/12 and sn_project, which divides by i_1; every
+other structure constant is an integer, so most brackets build no
+Fraction.
 
 Each family is one Family entry of the table _FAMILIES: its command-line
 name, rank rule, element kinds with their validity predicates, grading,
@@ -200,20 +204,31 @@ def min_degree(alg):
 # Lie element helpers
 
 
-def lie_add(dst, src, c=Fraction(1)):
-    """dst += c * src in place; dst keeps no zero values."""
+def lie_add(dst, src, c=1):
+    """dst += c * src in place; dst keeps no zero values, and an integral
+    value is kept as an int."""
     for b, v in src.items():
-        nv = dst.get(b, Fraction(0)) + c * v
-        if nv:
-            dst[b] = nv
-        else:
+        nv = dst.get(b, 0) + c * v
+        if not nv:
             dst.pop(b, None)
+        elif type(nv) is Fraction and nv.denominator == 1:
+            dst[b] = nv.numerator
+        else:
+            dst[b] = nv
     return dst
 
 
 def _one_term(b, c):
-    c = Fraction(c)
     return {b: c} if c else {}
+
+
+def _quotient(a, n):
+    """a / n exactly, for an int or Fraction a and a nonzero int n: an int
+    when it is integral, else a Fraction."""
+    if type(a) is int and not a % n:
+        return a // n
+    q = Fraction(a, n)
+    return q.numerator if q.denominator == 1 else q
 
 
 def _unit(n, k):
@@ -250,7 +265,7 @@ def sb_expand(alg, i, k):
     """ShapeB element of S_n written in W_n coordinates."""
     out = {}
     if i[k - 1]:
-        out[("w", _sub_unit(i, k), 1)] = Fraction(i[k - 1])
+        out[("w", _sub_unit(i, k), 1)] = i[k - 1]
     if i[0]:
         lie_add(out, _one_term(("w", _sub_unit(i, 1), k), -i[0]))
     return out
@@ -259,7 +274,7 @@ def sb_expand(alg, i, k):
 def sn_expand(alg, b):
     """S_n basis element written in W_n coordinates."""
     if b[0] == "sa":
-        return {("w", b[1], 1): Fraction(1)}
+        return {("w", b[1], 1): 1}
     return sb_expand(alg, b[1], b[2])
 
 
@@ -279,7 +294,7 @@ def sn_project(alg, v):
             continue
         _, u, k = b
         i = _add(u, _unit(alg.n, 1))
-        coeff = -c / i[0]
+        coeff = _quotient(-c, i[0])
         out[("sb", i, k)] = coeff
         lie_add(rem, sb_expand(alg, i, k), -coeff)
     for b, c in sorted(rem.items()):
@@ -313,7 +328,7 @@ def _symplectic(i, j, m):
 
 def _h_bracket(alg, a, b):
     poly = _symplectic(a[1], b[1], alg.n // 2)
-    return {("dh", u): Fraction(c) for u, c in poly.items() if c and any(u)}
+    return {("dh", u): c for u, c in poly.items() if c and any(u)}
 
 
 def _k_bracket(alg, a, b):
@@ -323,7 +338,7 @@ def _k_bracket(alg, a, b):
     if c:
         u = _sub_unit(_add(i, j), alg.n)
         poly[u] = poly.get(u, 0) + c
-    return {("dk", u): Fraction(c) for u, c in poly.items() if c}
+    return {("dk", u): c for u, c in poly.items() if c}
 
 
 def _witt_bracket(alg, a, b):
@@ -337,7 +352,7 @@ def _virasoro_bracket(alg, a, b):
     out = _witt_bracket(alg, a, b)
     n = a[1]
     if n + b[1] == 0:
-        lie_add(out, _one_term(Z, Fraction(n**3 - n, 12)))
+        lie_add(out, _one_term(Z, _quotient(n**3 - n, 12)))
     return out
 
 

@@ -26,7 +26,6 @@ from .algebras import (
     bracket_basis,
     degree,
     element_to_str,
-    elements_in_window,
     jacobi_residual,
     parse_algebra,
 )
@@ -42,6 +41,7 @@ from .elim import (
 from .leaders import (
     DEFAULT_MAX_GAP,
     DegreeGapExceeded,
+    _window,
     check_cofinite_window,
     check_dagger,
     check_leading_dicksonian,
@@ -80,13 +80,8 @@ _WINDOW = {"--window": (2, int, _REQUIRED)}
 
 
 def _dop(alg, args):
-    degs = [degree(alg, b) for b in args.entries]
-    if all(d > 0 for d in degs):
-        sign = PLUS
-    elif all(d < 0 for d in degs):
-        sign = MINUS
-    else:
-        raise UsageError("tuple entries must have uniform degree sign")
+    # The first entry's degree gives the sign; d_op refuses a mixed tuple.
+    sign = PLUS if degree(alg, args.entries[0]) > 0 else MINUS
     return {"result": print_poly(d_op(args.f, DTuple(tuple(args.entries), sign)))}
 
 
@@ -117,9 +112,7 @@ def _search_dicksonian(alg, args):
 def _jacobi_test(alg, args):
     if args.samples <= 0:
         raise UsageError("--samples must be positive")
-    pool = elements_in_window(alg, *args.window)
-    if not pool:
-        raise UsageError("empty degree window")
+    pool = _window(alg, args.window, 1)
     rng = random.Random(args.seed)
     for _ in range(args.samples):
         a, b, c = (rng.choice(pool) for _ in range(3))

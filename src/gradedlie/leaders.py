@@ -90,22 +90,24 @@ def iter_tuples(alg, d, sign, max_gap=DEFAULT_MAX_GAP):
             yield DTuple(t, sign)
 
 
-def l_condition_holds(alg, M, t):
-    """Whether the iterated leader of M along t dominates all rivals.
+def _rivals(alg, M, sign):
+    """The basis elements of M's graded component below M ("+") or above
+    it ("-"), in basis order: the only N the dominance condition compares
+    M with, since lower components are forced by the grading."""
+    comp = enumerate_component(alg, degree(alg, M))
+    at = comp.index(M)
+    return comp[:at] if sign == PLUS else comp[at + 1:]
 
-    For a "+" tuple: every basis element N < M with nonzero iterated
-    bracket must have its upper leader strictly below that of M; mirrored
-    for "-".  Only the finitely many N in M's graded component matter.
-    """
+
+def _dominates(alg, M, t, rivals):
+    """Whether the iterated leader of M along t lies strictly beyond, on
+    t's side, the iterated leader of every rival with a nonzero one."""
     T = d_leader(alg, M, t)
     if T is None:
         raise ZeroLeader("tuple annihilates %s" % element_to_str(alg, M))
     kT = order_key(alg, T)
     want_less = t.sign == PLUS
-    for N in enumerate_component(alg, degree(alg, M)):
-        c = compare_basis(alg, N, M)
-        if (want_less and c >= 0) or (not want_less and c <= 0):
-            continue
+    for N in rivals:
         DN = d_leader(alg, N, t)
         if DN is None:
             continue
@@ -115,14 +117,30 @@ def l_condition_holds(alg, M, t):
     return True
 
 
+def l_condition_holds(alg, M, t):
+    """Whether the iterated leader of M along t dominates all rivals.
+
+    For a "+" tuple: every basis element N < M with nonzero iterated
+    bracket must have its upper leader strictly below that of M; mirrored
+    for "-".  Only the finitely many N in M's graded component matter.
+    """
+    validate_element(alg, M)
+    return _dominates(alg, M, t, _rivals(alg, M, t.sign))
+
+
 def iter_witnesses(alg, M, T, sign, max_gap=DEFAULT_MAX_GAP):
-    """Tuples t with iterated leader T and the dominance condition."""
+    """Tuples t with iterated leader T and the dominance condition.  M's
+    rivals are listed once, the first time a tuple's leader is T."""
     gap = degree(alg, T) - degree(alg, M)
     if gap == 0 or (gap > 0) != (sign == PLUS):
         return
+    rivals = None
     for t in iter_tuples(alg, gap, sign, max_gap):
-        if d_leader(alg, M, t) == T and l_condition_holds(alg, M, t):
-            yield t
+        if d_leader(alg, M, t) == T:
+            if rivals is None:
+                rivals = _rivals(alg, M, sign)
+            if _dominates(alg, M, t, rivals):
+                yield t
 
 
 def l_member(alg, M, T, sign, max_gap=DEFAULT_MAX_GAP):

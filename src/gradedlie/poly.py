@@ -294,9 +294,9 @@ def d_op(f, t):
 
 def d_bracket(alg, b, t):
     """Iterated Lie bracket [[b, t1], t2, ...] as a Lie element."""
-    v = {b: Fraction(1)}
+    v = {b: 1}
     for m in t.entries:
-        v = bracket_lie(alg, v, {m: Fraction(1)})
+        v = bracket_lie(alg, v, {m: 1})
         if not v:
             return {}
     return v

@@ -20,8 +20,38 @@ from gradedlie import (
     sn_project,
     validate_element,
 )
-from gradedlie.algebras import Y, Z, dh, dk, e, loop, min_degree, sa, sb, sn_expand, w, x
-from helpers import ALL_ALGEBRAS, EXD, H2, K3, S2, SL2, VIR, W2, WINDOWS, WITT, WITT_POS, window_basis
+from gradedlie.algebras import (
+    Y,
+    Z,
+    bracket_lie,
+    dh,
+    dk,
+    e,
+    loop,
+    min_degree,
+    sa,
+    sb,
+    sn_expand,
+    w,
+    x,
+)
+from helpers import (
+    ALL_ALGEBRAS,
+    EXD,
+    H2,
+    H4,
+    K3,
+    S2,
+    S3,
+    SL2,
+    VIR,
+    W2,
+    W3,
+    WINDOWS,
+    WITT,
+    WITT_POS,
+    window_basis,
+)
 
 
 class TestAlgebraSpec:
@@ -212,6 +242,12 @@ class TestBracket:
         br = bracket_basis(VIR, e(-2), e(2))
         assert br == {e(0): Fraction(4), Z: Fraction(-1, 2)}
 
+    def test_virasoro_central_term_is_exact(self):
+        half = bracket_basis(VIR, e(2), e(-2))[Z]
+        assert (type(half), half) == (Fraction, Fraction(1, 2))
+        two = bracket_basis(VIR, e(3), e(-3))[Z]
+        assert (type(two), two) == (int, 2)
+
     def test_virasoro_central_is_central(self):
         assert bracket_basis(VIR, Z, e(3)) == {}
 
@@ -304,6 +340,17 @@ class TestSnProjection:
         v = {w((1, 0), 1): Fraction(1), w((0, 1), 2): Fraction(-1)}
         assert sn_project(S2, v) == {sb((1, 1), 2): Fraction(1)}
 
+    def test_integral_quotient_is_an_int(self):
+        # SB[2,1;2] = x^(2,0) d_1 - 2 x^(1,1) d_2: its coefficient is -(-2)/2.
+        out = sn_project(S2, {w((2, 0), 1): 1, w((1, 1), 2): -2})
+        assert out == {sb((2, 1), 2): 1}
+        assert type(out[sb((2, 1), 2)]) is int
+
+    def test_fractional_quotient_is_a_fraction(self):
+        out = sn_project(S2, {w((2, 0), 1): Fraction(1, 2), w((1, 1), 2): -1})
+        assert out == {sb((2, 1), 2): Fraction(1, 2)}
+        assert type(out[sb((2, 1), 2)]) is Fraction
+
     def test_nonzero_divergence_rejected(self):
         with pytest.raises(NotInSn):
             sn_project(S2, {w((1, 0), 1): Fraction(1)})
@@ -312,3 +359,37 @@ class TestSnProjection:
         for alg in (S2, AlgebraSpec("SpecialS", 3)):
             for b in window_basis(alg, (-1, 3)):
                 assert sn_project(alg, sn_expand(alg, b)) == {b: Fraction(1)}
+
+
+def exact(c):
+    """An int, or a Fraction that is not integral: never a float, and never
+    an integral Fraction."""
+    return type(c) is int or (type(c) is Fraction and c.denominator != 1)
+
+
+class TestCoefficientTypes:
+    """A Lie element's values are ints while integral, else Fractions."""
+
+    @pytest.mark.parametrize("alg", ALL_ALGEBRAS + (W3, S3, H4), ids=algebra_to_str)
+    def test_brackets_on_the_window(self, alg):
+        pool = window_basis(alg)
+        for a in pool:
+            for b in pool:
+                assert all(exact(c) for c in bracket_basis(alg, a, b).values()), (a, b)
+
+    @pytest.mark.parametrize("alg", ALL_ALGEBRAS + (W3, S3, H4), ids=algebra_to_str)
+    def test_iterated_brackets_and_jacobi_residuals(self, alg):
+        rng = random.Random(19)
+        pool = window_basis(alg)
+        for _ in range(150):
+            a, b, c = (rng.choice(pool) for _ in range(3))
+            inner = bracket_lie(alg, bracket_basis(alg, a, b), {c: 1})
+            assert all(exact(v) for v in inner.values()), (a, b, c)
+            assert all(exact(v) for v in jacobi_residual(alg, a, b, c).values()), (a, b, c)
+
+    def test_cancelled_denominators_give_an_int(self):
+        ab = bracket_basis(S3, sb((2, 0, 0), 2), sb((2, 1, 0), 3))
+        assert ab == {sb((3, 0, 0), 3): Fraction(-4, 3)}
+        v = bracket_lie(S3, ab, {sa((0, 0, 0)): 1})
+        assert v == {sb((2, 0, 0), 3): 4}
+        assert type(v[sb((2, 0, 0), 3)]) is int

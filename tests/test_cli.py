@@ -224,6 +224,27 @@ class TestErrorHandling:
         assert (code, out) == (3, "")
         assert err == "internal error: certificate failed verification\n"
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("--alg", "witt", "dop", "e[1]", "e[1]", "e[-1]"), "'+' tuple entry of degree -1"),
+            (("--alg", "witt", "dop", "e[1]", "e[-1]", "e[2]"), "'-' tuple entry of degree 2"),
+            (("--alg", "witt", "jacobi-test", "--window", "3", "-3"),
+             "inverted degree window (3, -3)"),
+            (("--alg", "witt", "check-dagger", "--window", "3", "-3"),
+             "inverted degree window (3, -3)"),
+            (("--alg", "witt", "check-cofinite", "e[1]", "--window", "3", "-3"),
+             "inverted degree window (3, -3)"),
+            (("--alg", "witt+", "jacobi-test", "--window", "-3", "0"),
+             "degree window (-3, 0) holds 0 basis element(s); the check needs 1"),
+        ],
+        ids=["dop-mixed-plus-first", "dop-mixed-minus-first", "jacobi-inverted-window",
+             "dagger-inverted-window", "cofinite-inverted-window", "jacobi-empty-window"],
+    )
+    def test_refusal_names_the_fault(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", "error: %s\n" % message)
+
 
 class TestArguments:
     def test_leading_minus_polynomial_is_a_value(self, capsys):

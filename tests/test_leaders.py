@@ -7,6 +7,7 @@ import pytest
 from gradedlie import (
     DegreeGapExceeded,
     DTuple,
+    InvalidElement,
     PLUS,
     MINUS,
     ZeroLeader,
@@ -34,6 +35,7 @@ from gradedlie.algebras import (
     w,
 )
 from gradedlie.leaders import is_member, iter_tuples
+from gradedlie.poly import d_leader
 from helpers import EXD, H2, K3, S2, S3, SL2, VIR, W1, W2, WINDOWS, WITT, WITT_POS
 
 
@@ -175,6 +177,10 @@ class TestLCondition:
         verdict = l_condition_holds(W2, w((0, 0), 2), DTuple((w((1, 1), 1),), PLUS))
         assert isinstance(verdict, bool)
 
+    def test_invalid_element_raises(self):
+        with pytest.raises(InvalidElement):
+            l_condition_holds(W2, w((0, 0, 0), 1), DTuple((w((1, 1), 1),), PLUS))
+
     def test_zero_leader_raises(self):
         with pytest.raises(ZeroLeader):
             l_condition_holds(WITT, e(1), DTuple((e(1),), PLUS))
@@ -207,6 +213,57 @@ class TestLMember:
             for i in range(1, 7):
                 expected = i > n
                 assert is_member(WITT_POS, e(n), e(i), PLUS) == expected
+
+
+# Small windows on which every (M, T) decision can be rescanned tuple by tuple.
+SCAN_WINDOWS = [(W2, (-1, 3)), (S2, (-1, 3)), (H2, (-1, 3)), (K3, (-2, 2)), (VIR, (-4, 4))]
+
+
+def scan_first_witness(alg, M, T, sign):
+    """The first tuple, shortest first then entry-lex, whose leader is T
+    and that passes l_condition_holds, or None."""
+    for t in iter_tuples(alg, degree(alg, T) - degree(alg, M), sign):
+        if d_leader(alg, M, t) == T and l_condition_holds(alg, M, t):
+            return t
+    return None
+
+
+def reference_condition(alg, M, t):
+    """The dominance condition with each rival found by comparing it to M."""
+    kT = order_key(alg, d_leader(alg, M, t))
+    want_less = t.sign == PLUS
+    for N in enumerate_component(alg, degree(alg, M)):
+        c = compare_basis(alg, N, M)
+        if c == 0 or (c < 0) != want_less:
+            continue
+        DN = d_leader(alg, N, t)
+        if DN is not None:
+            kN = order_key(alg, DN)
+            if kN == kT or (kN < kT) != want_less:
+                return False
+    return True
+
+
+@pytest.mark.parametrize("alg, window", SCAN_WINDOWS,
+                         ids=[algebra_to_str(alg) for alg, _ in SCAN_WINDOWS])
+class TestDecisionsAgainstAScan:
+    def test_verdict_and_first_witness(self, alg, window):
+        elems = elements_in_window(alg, *window)
+        for M in elems:
+            for T in elems:
+                gap = degree(alg, T) - degree(alg, M)
+                if gap:
+                    sign = PLUS if gap > 0 else MINUS
+                    witness = scan_first_witness(alg, M, T, sign)
+                    report = l_member(alg, M, T, sign)
+                    assert (report.verdict, report.witness) == (witness is not None, witness)
+
+    def test_condition_against_the_reference(self, alg, window):
+        for M in elements_in_window(alg, *window):
+            for d in (-3, -2, -1, 1, 2, 3):
+                for t in iter_tuples(alg, d, PLUS if d > 0 else MINUS):
+                    if d_leader(alg, M, t) is not None:
+                        assert l_condition_holds(alg, M, t) == reference_condition(alg, M, t)
 
 
 class TestLeadingDicksonian:
