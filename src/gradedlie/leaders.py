@@ -11,6 +11,7 @@ by the grading).
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -99,12 +100,9 @@ def _rivals(alg, M, sign):
     return comp[:at] if sign == PLUS else comp[at + 1:]
 
 
-def _dominates(alg, M, t, rivals):
-    """Whether the iterated leader of M along t lies strictly beyond, on
-    t's side, the iterated leader of every rival with a nonzero one."""
-    T = d_leader(alg, M, t)
-    if T is None:
-        raise ZeroLeader("tuple annihilates %s" % element_to_str(alg, M))
+def _dominates(alg, T, t, rivals):
+    """Whether T, the iterated leader of M along t, lies strictly beyond,
+    on t's side, the iterated leader of every rival with a nonzero one."""
     kT = order_key(alg, T)
     want_less = t.sign == PLUS
     for N in rivals:
@@ -125,7 +123,10 @@ def l_condition_holds(alg, M, t):
     for "-".  Only the finitely many N in M's graded component matter.
     """
     validate_element(alg, M)
-    return _dominates(alg, M, t, _rivals(alg, M, t.sign))
+    T = d_leader(alg, M, t)
+    if T is None:
+        raise ZeroLeader("tuple annihilates %s" % element_to_str(alg, M))
+    return _dominates(alg, T, t, _rivals(alg, M, t.sign))
 
 
 def iter_witnesses(alg, M, T, sign, max_gap=DEFAULT_MAX_GAP):
@@ -139,7 +140,7 @@ def iter_witnesses(alg, M, T, sign, max_gap=DEFAULT_MAX_GAP):
         if d_leader(alg, M, t) == T:
             if rivals is None:
                 rivals = _rivals(alg, M, sign)
-            if _dominates(alg, M, t, rivals):
+            if _dominates(alg, T, t, rivals):
                 yield t
 
 
@@ -205,42 +206,93 @@ def search_leading_dicksonian(alg, degree_bound, length_bound, max_gap=DEFAULT_M
     """Longest leading-Dicksonian sequence from pairs of elements with
     |degree| <= degree_bound, capped at length_bound.  Deterministic:
     depth-first in the canonical pair order, first maximal answer wins.
-    The follow relation is decided once, before the search: follow[q] is
-    the int bitmask of the pool pairs that may follow pair q."""
+    Exact branch and bound: a node is cut when a greedy colouring of its
+    candidates shows that no extension of it can beat the best sequence
+    found so far (Carraghan & Pardalos 1990), with sets of pool pairs held
+    as int bitmasks (San Segundo et al. 2011).  Each membership row is
+    decided on first use."""
     elems = elements_in_window(alg, -degree_bound, degree_bound)
     if not elems or length_bound <= 0:
         raise ValueError("search needs a nonempty degree window and a positive length bound")
     n = len(elems)
-    # below[i]: the j < i with elems[j] in L-(elems[i]); above[i]: the j > i in L+.
-    below = [sum(1 << j for j in range(i) if is_member(alg, M, elems[j], MINUS, max_gap))
-             for i, M in enumerate(elems)]
-    above = [sum(1 << j for j in range(i + 1, n) if is_member(alg, M, elems[j], PLUS, max_gap))
-             for i, M in enumerate(elems)]
     pool = [(i, j) for i in range(n) for j in range(i, n)]
-    follow = [sum(1 << r for r, (k, l) in enumerate(pool)
-                  if not (below[i] >> k & 1 or above[j] >> l & 1)) for i, j in pool]
-    best, seen = [], set()
+    full = (1 << len(pool)) - 1
+    # firsts[k], seconds[k]: the pool pairs whose M, whose N, is elems[k].
+    firsts, seconds = [0] * n, [0] * n
+    for r, (k, l) in enumerate(pool):
+        firsts[k] |= 1 << r
+        seconds[l] |= 1 << r
 
-    def extend(seq, used, free):
-        """used: bitmask of the pool indices in seq.  free: the unused
-        ones whose pairs may follow every pair of seq."""
+    def spread(mask, by):
+        """The pool pairs whose M (by=firsts) or N (by=seconds) is in the
+        n-bit element mask."""
+        return sum(by[k] for k in range(n) if mask >> k & 1)
+
+    @functools.cache
+    def row(i, sign):
+        """n-bit mask of the elements before elems[i] in L-(elems[i])
+        (MINUS), or after it in L+(elems[i]) (PLUS); only these can be members."""
+        span = range(i) if sign == MINUS else range(i + 1, n)
+        return sum(1 << k for k in span if is_member(alg, elems[i], elems[k], sign, max_gap))
+
+    @functools.cache
+    def follows(q):
+        """The pool pairs that may follow pair q."""
+        i, j = pool[q]
+        return full & ~(spread(row(i, MINUS), firsts) | spread(row(j, PLUS), seconds))
+
+    @functools.cache
+    def adjacency():
+        """adj[q]: the pool pairs that may follow pair q or that q may follow."""
+        # barred[i]: the pool pairs that a pair whose M (resp. N) is elems[i]
+        # may not follow, because elems[i] is in L- of their M (L+ of their N).
+        barred_m = [spread(sum(1 << k for k in range(n) if row(k, MINUS) >> i & 1), firsts)
+                    for i in range(n)]
+        barred_n = [spread(sum(1 << k for k in range(n) if row(k, PLUS) >> i & 1), seconds)
+                    for i in range(n)]
+        return [follows(q) | full & ~(barred_m[i] | barred_n[j]) for q, (i, j) in enumerate(pool)]
+
+    def colours(free):
+        """Classes of a greedy colouring of free, lowest bit first: no two
+        pairs of a class can share a sequence, in either order."""
+        adj = adjacency()
+        count = 0
+        while free:
+            count += 1
+            avail = free
+            while avail:
+                low = avail & -avail
+                free ^= low
+                avail &= ~(adj[low.bit_length() - 1] | low)
+        return count
+
+    best = []
+
+    def extend(seq, free):
+        """free: the unused pairs that may follow every pair of seq but its
+        last, which this node applies after the length-bound check.  An
+        extension takes at most one pair of each colour class of free, so
+        at most colours(free) <= free.bit_count() pairs; the count is tried
+        first.  On a first descent (room <= 0) no cut is possible."""
         nonlocal best
         if len(seq) > len(best):
             best = seq
         if len(seq) >= length_bound:
             return True
-        if used in seen:
+        if seq:
+            free &= follows(seq[-1])
+        room = len(best) - len(seq)
+        if room > 0 and (free.bit_count() <= room or colours(free) <= room):
             return False
-        seen.add(used)
         rest = free
         while rest:
-            q = (rest & -rest).bit_length() - 1
-            if extend(seq + [q], used | 1 << q, free & follow[q] & ~(1 << q)):
+            low = rest & -rest
+            if extend(seq + [low.bit_length() - 1], free & ~low):
                 return True
-            rest &= rest - 1
+            rest ^= low
         return False
 
-    extend([], 0, (1 << len(pool)) - 1)
+    extend([], full)
     return [(elems[pool[q][0]], elems[pool[q][1]]) for q in best]
 
 

@@ -1,6 +1,9 @@
 """Leader-set decision procedures, Dicksonian checks, structural probes."""
 
+import importlib.util
 import itertools
+import os
+import tracemalloc
 
 import pytest
 
@@ -36,7 +39,9 @@ from gradedlie.algebras import (
 )
 from gradedlie.leaders import is_member, iter_tuples
 from gradedlie.poly import d_leader
-from helpers import EXD, H2, K3, S2, S3, SL2, VIR, W1, W2, WINDOWS, WITT, WITT_POS
+from helpers import EXD, H2, K3, S2, S3, SL2, VIR, W1, W2, W3, WINDOWS, WITT, WITT_POS
+
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 
 
 def sorted_tuples(alg, d, sign):
@@ -341,6 +346,84 @@ class TestNoHiddenState:
         assert is_member(WITT, e(1), e(3), PLUS) is True
         assert is_member(WITT, e(1), e(3), PLUS) is True
         assert calls == [(e(1), e(3), PLUS)] * 2
+
+
+class TestExactSearch:
+    """The branch-and-bound search on windows too large for reference_search."""
+
+    @pytest.mark.parametrize("name, bound, length", [("witt", 5, 30), ("witt+", 8, 30)])
+    def test_memory_is_bounded(self, name, bound, length):
+        alg = parse_algebra(name)
+        tracemalloc.start()
+        try:
+            search_leading_dicksonian(alg, bound, length)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
+
+    @pytest.mark.parametrize("name, bound, length, longest", [
+        ("witt", 6, 500, 21),
+        ("virasoro", 6, 500, 35),
+        ("witt+", 8, 30, 30),
+        ("cartan-w:2", 1, 500, 57),
+    ])
+    def test_longest_length(self, name, bound, length, longest):
+        alg = parse_algebra(name)
+        seq = search_leading_dicksonian(alg, bound, length)
+        assert len(seq) == longest
+        assert check_leading_dicksonian(alg, seq).verdict is True
+
+    def test_length_bound_one_decides_nothing(self, monkeypatch):
+        calls = recording_l_member(monkeypatch)
+        assert search_leading_dicksonian(WITT, 13, 1) == [(e(-13), e(-13))]
+        assert calls == []
+        with pytest.raises(DegreeGapExceeded):
+            search_leading_dicksonian(WITT, 13, 2)
+
+    def test_early_stop_decides_few_rows(self, monkeypatch):
+        # Deciding the whole follow relation first took 3,540 decisions.
+        calls = recording_l_member(monkeypatch)
+        assert len(search_leading_dicksonian(W3, 2, 3)) == 3
+        assert 0 < len(calls) < 3540
+
+
+TRANSITIVITY_WINDOWS = [
+    ("witt", 3), ("witt", 5), ("witt+", 6), ("virasoro", 3), ("w1", 5),
+    ("cartan-w:2", 1), ("cartan-w:2", 2), ("hamiltonian:2", 2),
+]
+
+
+class TestLeaderRelationsTransitive:
+    """Restricted to a degree window, "T in L+(M)" and "T in L-(M)" are
+    transitive: each constraint of a leading-Dicksonian sequence is then a
+    partial order on the window."""
+
+    @pytest.mark.parametrize("name, bound", TRANSITIVITY_WINDOWS)
+    def test_transitive(self, name, bound):
+        alg = parse_algebra(name)
+        elems = elements_in_window(alg, -bound, bound)
+        checked = 0
+        for sign in (PLUS, MINUS):
+            rel = {(M, T) for M in elems for T in elems if is_member(alg, M, T, sign)}
+            chains = [(A, B, C) for A, B in rel for C in elems if (B, C) in rel]
+            assert [chain for chain in chains if (chain[0], chain[2]) not in rel] == []
+            checked += len(chains)
+        assert checked
+
+
+class TestSearchTable:
+    def test_small_rows_match_the_readme(self):
+        path = os.path.join(ROOT, "scripts", "search_table.py")
+        spec = importlib.util.spec_from_file_location("search_table", path)
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        with open(os.path.join(ROOT, "README.md")) as fh:
+            readme = fh.read().splitlines()
+        lines = script.table(max_degree=5)
+        assert len(lines) == 2 + 6
+        for line in lines:
+            assert line in readme
 
 
 class TestDicksonCheck:
