@@ -206,9 +206,18 @@ def min_degree(alg):
 
 def lie_add(dst, src, c=1):
     """dst += c * src in place; dst keeps no zero values, and an integral
-    value is kept as an int."""
+    value is kept as an int.
+
+    The values are ints or Fractions; the keys are basis elements here and
+    monomials in poly.py, whose sums and products accumulate through this
+    function too.
+    """
+    scale = c != 1
     for b, v in src.items():
-        nv = dst.get(b, 0) + c * v
+        if scale:
+            v = c * v
+        old = dst.get(b)
+        nv = v if old is None else old + v
         if not nv:
             dst.pop(b, None)
         elif type(nv) is Fraction and nv.denominator == 1:

@@ -112,9 +112,16 @@ def is_reduced_sequence(alg, lam, max_gap=DEFAULT_MAX_GAP):
 
 
 class _Reducer:
-    """Mutable reduction state preserving the certificate identity
+    """Mutable reduction state.
 
-    (prod multipliers) * input = g + sum(term coeffs * D-terms).
+    Each step puts one multiplier on the left and adds one right-hand-side
+    term; the term is stored with its step's multiplier and is not rescaled
+    by the multipliers of later steps.  certificate() gives each term, once,
+    the product of the multipliers after it, so the identity
+
+    (prod multipliers) * input = g + sum(term coeffs * D-terms)
+
+    holds for the certificate it returns, not for the stored terms.
     """
 
     def __init__(self, alg, g, lam, max_gap, max_steps):
@@ -126,15 +133,12 @@ class _Reducer:
         self.max_steps = max_steps
         self.steps = 0
         self.exps = [[0, 0, 0] for _ in lam]  # initial, sep+, sep-
-        self.terms = []  # [coeff, gen index, DTuple | None]
+        self.terms = []  # (coeff, gen index, DTuple | None, step multiplier)
 
     def _tick(self):
         self.steps += 1
         if self.steps > self.max_steps:
             raise NonTermination("step limit %d exceeded" % self.max_steps)
-
-    def _mul_terms(self, p):
-        self.terms = [[t[0] * p, t[1], t[2]] for t in self.terms]
 
     def _find_offender(self, sign):
         """Largest (sign "+") / smallest offending variable with the
@@ -177,21 +181,27 @@ class _Reducer:
         alg = self.alg
         parts = self.g.expand_in(v)
         r = max(parts)
-        vpoly = Polynomial.var(alg, v)
         b = h * (Fraction(-1) / alpha)
-        sv = s * vpoly
+        sv = s * Polynomial.var(alg, v)
+        # s^k and b^k for k <= r, and inner[j] = sum over u < j of
+        # (s*v)^u * b^(j-1-u) for 1 <= j <= r, each built once.
+        one = Polynomial.const(alg, 1)
+        spow, bpow = [one, s], [one, b]
+        inner, svpow = [None, one], one
+        for j in range(2, r + 1):
+            spow.append(spow[-1] * s)
+            bpow.append(bpow[-1] * b)
+            svpow = svpow * sv
+            inner.append(inner[-1] * b + svpow)
         new_g = Polynomial.zero(alg)
         coeff = Polynomial.zero(alg)
         for j, hj in parts.items():
-            new_g = new_g + hj * s ** (r - j) * b**j
+            w = hj * spow[r - j]
+            new_g = new_g + w * bpow[j]
             if j >= 1:
-                inner = Polynomial.zero(alg)
-                for u in range(j):
-                    inner = inner + sv**u * b ** (j - 1 - u)
-                coeff = coeff + hj * s ** (r - j) * inner * (Fraction(1) / alpha)
-        self._mul_terms(s**r)
+                coeff = coeff + w * inner[j]
         self.exps[fi][1 if sign == PLUS else 2] += r
-        self.terms.append([coeff, fi, t])
+        self.terms.append((coeff * (Fraction(1) / alpha), fi, t, spow[r]))
         self.g = new_g
 
     def run_pass(self, sign):
@@ -228,27 +238,34 @@ class _Reducer:
         L = f.leader(PLUS)
         d = f.leader_degree(PLUS)
         init = f.initial(PLUS)
-        lpoly = Polynomial.var(self.alg, L)
         while self.g.degree_in(L) >= d:
             self._tick()
             r = self.g.degree_in(L)
             hr = self.g.coefficient_of(L, r)
-            self._mul_terms(init)
             self.exps[fi][0] += 1
-            c = hr * lpoly ** (r - d)
-            self.terms.append([c, fi, None])
+            c = hr * Polynomial.var(self.alg, L, exp=r - d)
+            self.terms.append((c, fi, None, init))
             self.g = init * self.g - c * f
             if self.g.degree_in(L) >= r and not self.g.is_zero():
                 raise NonTermination("pseudo-division failed to lower degree")
 
     def certificate(self):
+        """The certificate of the reduction so far; the state is unchanged."""
+        terms = []
+        after = None  # product of the multipliers of the later steps
+        later = None  # the multiplier of the step after this one
+        for coeff, fi, t, mult in reversed(self.terms):
+            if later is not None:
+                after = later if after is None else later * after
+            terms.append(CertTerm(coeff if after is None else coeff * after, fi, t))
+            later = mult
         return ReductionCertificate(
             alg=self.alg,
             input=self.input,
             remainder=self.g,
             generators=tuple(self.lam),
             multipliers=tuple(MultiplierExp(*ex) for ex in self.exps),
-            terms=tuple(CertTerm(t[0], t[1], t[2]) for t in self.terms),
+            terms=tuple(reversed(terms)),
         )
 
 

@@ -2,9 +2,11 @@
 
 A monomial is a tuple of (basis element, positive exponent) pairs sorted
 ascending by the algebra's basis order; the empty tuple is the constant
-monomial.  A polynomial stores {monomial: Fraction} with no zero values
-plus the algebra it lives over.  The Poisson bracket extends the Lie
-bracket to this symmetric algebra as a biderivation.
+monomial.  A polynomial stores {monomial: coefficient} with no zero
+values plus the algebra it lives over; a coefficient is an int while it is
+integral, else a Fraction, by the rule of algebras.lie_add, through which
+sums and products accumulate.  The Poisson bracket extends the Lie bracket
+to this symmetric algebra as a biderivation.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from .algebras import (
     bracket_basis,
     bracket_lie,
     degree,
+    lie_add,
     lie_extreme,
     order_key,
     validate_element,
@@ -49,24 +52,45 @@ def mono(alg, pairs):
     return tuple(sorted(merged.items(), key=lambda p: order_key(alg, p[0])))
 
 
+def _merge(m1, m2, key):
+    """The product of two monomials sorted by the order keys in `key`."""
+    if not m1:
+        return m2
+    if not m2:
+        return m1
+    out = []
+    i = j = 0
+    n1, n2 = len(m1), len(m2)
+    while i < n1 and j < n2:
+        p1, p2 = m1[i], m2[j]
+        b1, b2 = p1[0], p2[0]
+        if b1 == b2:
+            out.append((b1, p1[1] + p2[1]))
+            i += 1
+            j += 1
+        elif key[b1] < key[b2]:
+            out.append(p1)
+            i += 1
+        else:
+            out.append(p2)
+            j += 1
+    return tuple(out) + m1[i:] + m2[j:]
+
+
 def mono_sort_key(alg, m):
     """Key for the leader-major canonical order on monomials."""
     return tuple((order_key(alg, b), x) for b, x in reversed(m))
 
 
 class Polynomial:
-    """Immutable-by-convention sparse polynomial over Q."""
+    """Immutable-by-convention sparse polynomial over Q, with int or
+    Fraction coefficients."""
 
     __slots__ = ("alg", "terms")
 
     def __init__(self, alg, terms=()):
-        t = {}
-        for m, c in dict(terms).items():
-            c = Fraction(c)
-            if c:
-                t[m] = c
         self.alg = alg
-        self.terms = t
+        self.terms = lie_add({}, dict(terms))
 
     @classmethod
     def zero(cls, alg):
@@ -74,12 +98,12 @@ class Polynomial:
 
     @classmethod
     def const(cls, alg, c):
-        return cls(alg, {(): Fraction(c)})
+        return cls(alg, {(): c})
 
     @classmethod
     def var(cls, alg, b, c=1, exp=1):
         validate_element(alg, b)
-        return cls(alg, {mono(alg, [(b, exp)]): Fraction(c)})
+        return cls(alg, {mono(alg, [(b, exp)]): c})
 
     @classmethod
     def from_lie(cls, alg, v):
@@ -93,7 +117,7 @@ class Polynomial:
         return all(not m for m in self.terms)
 
     def constant_value(self):
-        return self.terms.get((), Fraction(0))
+        return self.terms.get((), 0)
 
     def variables(self):
         """Set of basis elements occurring in some monomial."""
@@ -112,58 +136,53 @@ class Polynomial:
 
     __hash__ = None
 
-    def __neg__(self):
-        return Polynomial(self.alg, {m: -c for m, c in self.terms.items()})
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Polynomial.const(self.alg, other)
-        _check_same(self, other)
-        t = dict(self.terms)
-        for m, c in other.terms.items():
-            nc = t.get(m, Fraction(0)) + c
-            if nc:
-                t[m] = nc
-            else:
-                t.pop(m, None)
+    def _with_terms(self, t):
         out = Polynomial(self.alg)
         out.terms = t
         return out
+
+    def __neg__(self):
+        return self._with_terms({m: -c for m, c in self.terms.items()})
+
+    def _plus(self, other, c):
+        if isinstance(other, (int, Fraction)):
+            other = Polynomial.const(self.alg, other)
+        _check_same(self, other)
+        return self._with_terms(lie_add(dict(self.terms), other.terms, c))
+
+    def __add__(self, other):
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Polynomial.const(self.alg, other)
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            return Polynomial(self.alg, {m: c * v for m, v in self.terms.items()})
+            return self._with_terms(lie_add({}, self.terms, other))
         _check_same(self, other)
+        alg = self.alg
+        key = {b: order_key(alg, b) for b in self.variables() | other.variables()}
         t = {}
         for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = mono(self.alg, m1 + m2)
-                nc = t.get(m, Fraction(0)) + c1 * c2
-                if nc:
-                    t[m] = nc
-                else:
-                    t.pop(m, None)
-        out = Polynomial(self.alg)
-        out.terms = t
-        return out
+            lie_add(t, {_merge(m1, m2, key): c2 for m2, c2 in other.terms.items()}, c1)
+        return self._with_terms(t)
 
     __rmul__ = __mul__
 
     def __pow__(self, k):
+        """self ** k by repeated squaring."""
         if k < 0:
             raise ValueError("negative power")
-        out = Polynomial.const(self.alg, 1)
-        for _ in range(k):
-            out = out * self
-        return out
+        out, base = None, self
+        while k:
+            if k & 1:
+                out = base if out is None else out * base
+            k >>= 1
+            if k:
+                base = base * base
+        return Polynomial.const(self.alg, 1) if out is None else out
 
     def __repr__(self):
         return "Polynomial(%r, %r)" % (self.alg, self.terms)
@@ -216,7 +235,7 @@ class Polynomial:
                 if bb == b:
                     rest = m[:pos] + ((bb, xx - 1),) + m[pos + 1 :]
                     rest = tuple(p for p in rest if p[1])
-                    t[rest] = t.get(rest, Fraction(0)) + c * xx
+                    t[rest] = t.get(rest, 0) + c * xx
         return Polynomial(self.alg, t)
 
     def initial(self, sign):

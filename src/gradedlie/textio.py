@@ -33,7 +33,7 @@ from .algebras import (
     validate_element,
 )
 from .elim import CertTerm, MultiplierExp, ReductionCertificate
-from .poly import DTuple, MINUS, PLUS, Polynomial, mono_sort_key
+from .poly import DTuple, MINUS, PLUS, Polynomial, mono, mono_sort_key
 
 
 class ParseError(ValueError):
@@ -132,13 +132,13 @@ class _Parser:
         tok = self.peek()
         if tok is not None and tok.isdigit():
             num, _ = self.take()
-            c = Fraction(int(num))
+            c = int(num)
             if self.peek() == "/":
                 self.take()
                 den, dpos = self.take()
                 if not den.isdigit() or int(den) == 0:
                     raise ParseError("bad denominator %r" % den, dpos)
-                c /= int(den)
+                c = Fraction(c, int(den))
             return c, None, 0
         b = self.element()
         exp = 1
@@ -148,7 +148,7 @@ class _Parser:
             if not tok.isdigit() or int(tok) == 0:
                 raise ParseError("exponent must be a positive integer", pos)
             exp = int(tok)
-        return Fraction(1), b, exp
+        return 1, b, exp
 
     def term(self):
         c, b, exp = self.factor()
@@ -159,9 +159,7 @@ class _Parser:
             c *= c2
             if b2 is not None:
                 pairs.append((b2, e2))
-        return Polynomial.var(self.alg, pairs[0][0], c, pairs[0][1]) * _mono_poly(
-            self.alg, pairs[1:]
-        ) if pairs else Polynomial.const(self.alg, c)
+        return Polynomial(self.alg, {mono(self.alg, pairs): c})
 
     def poly(self):
         sign = 1
@@ -176,13 +174,6 @@ class _Parser:
         if self.i < len(self.toks):
             raise ParseError("trailing input %r" % self.peek(), self.pos())
         return out
-
-
-def _mono_poly(alg, pairs):
-    out = Polynomial.const(alg, 1)
-    for b, exp in pairs:
-        out = out * Polynomial.var(alg, b, 1, exp)
-    return out
 
 
 def parse_poly(alg, s):

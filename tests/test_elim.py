@@ -191,6 +191,66 @@ class TestFullReduce:
                 )
 
 
+def capture_reducers(monkeypatch):
+    """Record each _Reducer whose certificate is taken."""
+    seen = []
+    certificate = elim._Reducer.certificate
+
+    def record(self):
+        seen.append(self)
+        return certificate(self)
+
+    monkeypatch.setattr(elim._Reducer, "certificate", record)
+    return seen
+
+
+class TestDeferredMultipliers:
+    # The separant step of e[1]^2 + e[1] removes e[4]; pseudo-division then
+    # multiplies by the initial of e[2]^2 + e[1]*e[2] twice and by the
+    # initial of e[1]^2 + e[1] twice, so the first term is multiplied by
+    # four later multipliers from two generators.
+    G = "e[4]*e[1]^2 + e[2]^3"
+    LAM = ("e[1]^2 + e[1]", "e[2]^2 + e[1]*e[2]")
+    STEPS = [(0, "sep"), (1, "init"), (1, "init"), (0, "init"), (0, "init")]
+
+    def reduce(self, monkeypatch):
+        reducers = capture_reducers(monkeypatch)
+        lam = tuple(P(WITT_POS, f) for f in self.LAM)
+        _, cert = full_reduce(WITT_POS, P(WITT_POS, self.G), lam)
+        return reducers[-1], cert
+
+    def test_steps_interleave(self, monkeypatch):
+        red, cert = self.reduce(monkeypatch)
+        steps = [(t[1], "init" if t[2] is None else "sep") for t in red.terms]
+        assert steps == self.STEPS
+        assert [(m.initial, m.sep_plus, m.sep_minus) for m in cert.multipliers] == [
+            (2, 1, 0),
+            (2, 0, 0),
+        ]
+        assert verify_certificate(WITT_POS, cert) is True
+
+    def test_coefficients_match_eager_rescaling(self, monkeypatch):
+        red, cert = self.reduce(monkeypatch)
+        eager = []
+        for coeff, _, _, mult in red.terms:
+            eager = [c * mult for c in eager]
+            eager.append(coeff)
+        assert [t.coeff for t in cert.terms] == eager
+
+    def test_certificate_leaves_reducer_unchanged(self):
+        lam = tuple(P(WITT_POS, f) for f in self.LAM)
+        red = elim._Reducer(
+            WITT_POS, P(WITT_POS, self.G), lam, elim.DEFAULT_MAX_GAP, elim.DEFAULT_MAX_STEPS
+        )
+        red.partial_fixpoint()
+        red.pseudo_divide(1)
+        state = (red.g, list(red.terms), [list(ex) for ex in red.exps], red.steps)
+        first, second = red.certificate(), red.certificate()
+        assert cert_to_json(first) == cert_to_json(second)
+        assert (red.g, red.terms, red.exps, red.steps) == state
+        assert verify_certificate(WITT_POS, second) is True
+
+
 class TestCertificates:
     def make_cert(self):
         return partial_reduce(WITT_POS, P(WITT_POS, "e[4]"), (P(WITT_POS, "e[1]^2"),))[1]

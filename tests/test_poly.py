@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gradedlie import (
     MINUS,
@@ -18,7 +19,8 @@ from gradedlie import (
     poisson_bracket,
 )
 from gradedlie.algebras import dh, e
-from helpers import ALL_ALGEBRAS, H2, P, WITT, WITT_POS, random_poly
+from gradedlie.poly import mono
+from helpers import ALL_ALGEBRAS, H2, P, S3, VIR, W2, WITT, WITT_POS, random_poly, window_basis
 
 
 @pytest.fixture
@@ -53,6 +55,87 @@ class TestArithmetic:
         assert five.is_constant() and not five.is_zero()
         assert five.constant_value() == 5
         assert Polynomial.zero(WITT_POS).is_zero()
+
+
+def reference_product(f, g):
+    """f * g term by term, each monomial made canonical by mono."""
+    t = {}
+    for m1, c1 in f.terms.items():
+        for m2, c2 in g.terms.items():
+            m = mono(f.alg, m1 + m2)
+            t[m] = t.get(m, 0) + Fraction(c1) * c2
+    return Polynomial(f.alg, t)
+
+
+@st.composite
+def poly_pairs(draw):
+    """Two polynomials over one algebra, from a window of its basis."""
+    alg = draw(st.sampled_from([WITT, VIR, W2, S3]))
+    pool = window_basis(alg)
+
+    def poly():
+        terms = {}
+        for _ in range(draw(st.integers(1, 4))):
+            pairs = draw(st.lists(st.tuples(st.sampled_from(pool), st.integers(1, 3)),
+                                  max_size=3))
+            c = Fraction(draw(st.integers(-9, 9)), draw(st.integers(1, 4)))
+            terms[mono(alg, pairs)] = c
+        return Polynomial(alg, terms)
+
+    return poly(), poly()
+
+
+class TestMultiplication:
+    @pytest.mark.parametrize("alg", [WITT, W2, S3])
+    def test_power_is_repeated_product(self, alg):
+        rng = random.Random(7)
+        f = random_poly(alg, rng, max_support=3, max_exp=2)
+        while len(f.terms) < 2:
+            f = random_poly(alg, rng, max_support=3, max_exp=2)
+        want = Polynomial.const(alg, 1)
+        for k in range(7):
+            assert f**k == want, k
+            want = want * f
+
+    def test_negative_power_raises(self):
+        with pytest.raises(ValueError):
+            P(WITT, "e[1] + e[2]") ** -1
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(poly_pairs())
+    def test_product_matches_reference(self, pair):
+        f, g = pair
+        assert f * g == reference_product(f, g)
+        assert g * f == reference_product(f, g)
+
+
+def coefficient_types(f):
+    return {type(c) for c in f.terms.values()}
+
+
+class TestCoefficientTypes:
+    def test_integral_values_are_ints(self):
+        a = P(WITT, "1/2*e[1] + 3*e[2]")
+        b = P(WITT, "1/2*e[1] - e[2]^2")
+        assert coefficient_types(P(WITT, "4/2*e[1] + 3*e[2]*e[1] - 5")) == {int}
+        assert coefficient_types(a + b) == {int}
+        assert coefficient_types(a - b) == {int}
+        assert coefficient_types(P(WITT, "1/2*e[1] + 1/2") * P(WITT, "2*e[1] - 2")) == {int}
+        assert coefficient_types(a * Fraction(2)) == {int}
+
+    def test_other_values_are_fractions(self):
+        a = P(WITT, "1/2*e[1] + 1/3*e[2]")
+        assert coefficient_types(a) == {Fraction}
+        assert coefficient_types(a + P(WITT, "1/3*e[1]")) == {Fraction}
+        assert coefficient_types(a - P(WITT, "e[2]")) == {Fraction}
+        assert coefficient_types(a * P(WITT, "e[1] - 1")) == {Fraction}
+        assert coefficient_types(P(WITT, "e[1] + 3*e[2]") * Fraction(1, 2)) == {Fraction}
+
+    def test_fraction_and_int_values_agree(self):
+        m = mono(WITT, [(e(1), 2)])
+        two = Polynomial(WITT, {m: Fraction(2)})
+        assert two == Polynomial(WITT, {m: 2})
+        assert coefficient_types(two) == {int}
 
 
 class TestLeaders:
