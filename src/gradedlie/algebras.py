@@ -39,9 +39,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-BasisElement = tuple
-LieElement = dict
-
 WITT = "Witt"
 WITT_POS = "WittPositive"
 CARTAN_W1 = "CartanW1"
@@ -93,7 +90,7 @@ class Family(NamedTuple):
     kinds: dict
     degree: Callable
     component: Callable         # (alg, d) -> basis elements of degree d
-    bracket: Callable           # (alg, a, b) -> LieElement
+    bracket: Callable           # (alg, a, b) -> Lie element
     rank: tuple | None = None   # (predicate on n, its wording), None if unranked
     tail: Callable = lambda alg, b: ()
     min_degree: int | None = None  # None if unbounded below
@@ -385,7 +382,7 @@ def _example_d_bracket(alg, a, b):
 
 
 def bracket_basis(alg, a, b):
-    """Lie bracket [a, b] of two basis elements as a LieElement."""
+    """Lie bracket [a, b] of two basis elements as a Lie element."""
     return _FAMILIES[alg.family].bracket(alg, a, b)
 
 

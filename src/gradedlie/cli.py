@@ -24,7 +24,6 @@ from types import SimpleNamespace
 
 from .algebras import (
     bracket_basis,
-    degree,
     element_to_str,
     jacobi_residual,
     parse_algebra,
@@ -79,12 +78,6 @@ _BY = {"--by": ("+", str, _REQUIRED)}
 _WINDOW = {"--window": (2, int, _REQUIRED)}
 
 
-def _dop(alg, args):
-    # The first entry's degree gives the sign; d_op refuses a mixed tuple.
-    sign = PLUS if degree(alg, args.entries[0]) > 0 else MINUS
-    return {"result": print_poly(d_op(args.f, DTuple(tuple(args.entries), sign)))}
-
-
 def _leaders(alg, args):
     f = args.f
     return {name: {"leader": element_to_str(alg, f.leader(sign)),
@@ -127,7 +120,8 @@ _COMMANDS = {
         "result": print_poly(Polynomial.from_lie(alg, bracket_basis(alg, args.a, args.b)))}),
     "pbracket": (("f", "g"), {}, lambda alg, args: {
         "result": print_poly(poisson_bracket(args.f, args.g))}),
-    "dop": (("f", "entries+"), {}, _dop),
+    "dop": (("f", "entries+"), {}, lambda alg, args: {
+        "result": print_poly(d_op(args.f, DTuple(alg, tuple(args.entries))))}),
     "leaders": (("f",), {}, _leaders),
     "reduce": (("g",), {**_BY, "--partial": (0, None, False)}, _reduce),
     "check-reduced": (("g",), _BY, lambda alg, args: {

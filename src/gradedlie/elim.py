@@ -93,12 +93,13 @@ def is_reduced(alg, g, lam, max_gap=DEFAULT_MAX_GAP):
     """Partially reduced, and each upper leader of a generator appears in
     g only below that generator's leader degree."""
     lam = _check_generators(alg, lam)
-    if not is_partially_reduced(alg, g, lam, max_gap):
-        return False
-    for f in lam:
-        if g.degree_in(f.leader(PLUS)) >= f.leader_degree(PLUS):
-            return False
-    return True
+    return is_partially_reduced(alg, g, lam, max_gap) and _below_leader_degrees(g, lam)
+
+
+def _below_leader_degrees(g, lam):
+    """Each upper leader of a generator appears in g only below that
+    generator's leader degree."""
+    return all(g.degree_in(f.leader(PLUS)) < f.leader_degree(PLUS) for f in lam)
 
 
 def is_reduced_sequence(alg, lam, max_gap=DEFAULT_MAX_GAP):
@@ -290,7 +291,9 @@ def full_reduce(alg, g, lam, max_gap=DEFAULT_MAX_GAP, max_steps=DEFAULT_MAX_STEP
         for fi in order:
             red.pseudo_divide(fi)
             red.partial_fixpoint()
-        if is_reduced(alg, red.g, lam, max_gap):
+        # The fixpoint has just found no witness for any variable of g and
+        # any generator, which is is_partially_reduced; only degrees remain.
+        if _below_leader_degrees(red.g, lam):
             return red.g, red.certificate()
     raise NonTermination("reduction did not reach a reduced remainder")
 

@@ -88,7 +88,7 @@ def iter_tuples(alg, d, sign, max_gap=DEFAULT_MAX_GAP):
     pools = {}
     for length in range(1, abs(d) + 1):
         for t in _iter_length(alg, d, sign, length, pools):
-            yield DTuple(t, sign)
+            yield DTuple(alg, t)
 
 
 def _rivals(alg, M, sign):
@@ -122,7 +122,6 @@ def l_condition_holds(alg, M, t):
     bracket must have its upper leader strictly below that of M; mirrored
     for "-".  Only the finitely many N in M's graded component matter.
     """
-    validate_element(alg, M)
     T = d_leader(alg, M, t)
     if T is None:
         raise ZeroLeader("tuple annihilates %s" % element_to_str(alg, M))
@@ -168,10 +167,12 @@ def is_member(alg, M, T, sign, max_gap=DEFAULT_MAX_GAP):
 def check_leading_dicksonian(alg, pairs, max_gap=DEFAULT_MAX_GAP):
     """Verify the defining conditions of a leading-Dicksonian sequence.
 
-    pairs is a sequence of (M, N) with M <= N.  Reports the first failing
-    (i, j), 1-based, scanning i then j.
+    pairs is a nonempty sequence of (M, N) with M <= N.  Reports the first
+    failing (i, j), 1-based, scanning i then j.
     """
     pairs = [tuple(p) for p in pairs]
+    if not pairs:
+        raise ValueError("empty pair sequence")
     for idx, (M, N) in enumerate(pairs, start=1):
         validate_element(alg, M)
         validate_element(alg, N)

@@ -6,12 +6,14 @@ monomial.  A polynomial stores {monomial: coefficient} with no zero
 values plus the algebra it lives over; a coefficient is an int while it is
 integral, else a Fraction, by the rule of algebras.lie_add, through which
 sums and products accumulate.  The Poisson bracket extends the Lie bracket
-to this symmetric algebra as a biderivation.
+to this symmetric algebra as a biderivation, and the operator D_t iterates
+it along a DTuple t: d_op on polynomials, d_bracket and d_leader on basis
+elements.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebras import (
@@ -36,9 +38,10 @@ class ConstantPolynomial(ValueError):
     """Leader data requested from a polynomial with no variables."""
 
 
-def _check_same(f, g):
-    if f.alg != g.alg:
-        raise AlgebraMismatch("mixed algebras: %r vs %r" % (f.alg, g.alg))
+def _check_same(alg, x):
+    """Raise AlgebraMismatch unless x (a polynomial or DTuple) is over alg."""
+    if x.alg != alg:
+        raise AlgebraMismatch("mixed algebras: %r vs %r" % (alg, x.alg))
 
 
 def mono(alg, pairs):
@@ -147,7 +150,7 @@ class Polynomial:
     def _plus(self, other, c):
         if isinstance(other, (int, Fraction)):
             other = Polynomial.const(self.alg, other)
-        _check_same(self, other)
+        _check_same(self.alg, other)
         return self._with_terms(lie_add(dict(self.terms), other.terms, c))
 
     def __add__(self, other):
@@ -161,7 +164,7 @@ class Polynomial:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self._with_terms(lie_add({}, self.terms, other))
-        _check_same(self, other)
+        _check_same(self.alg, other)
         alg = self.alg
         key = {b: order_key(alg, b) for b in self.variables() | other.variables()}
         t = {}
@@ -194,8 +197,7 @@ class Polynomial:
         vs = self.variables()
         if not vs:
             raise ConstantPolynomial("constant polynomial has no leader")
-        pick = max if sign == PLUS else min
-        return pick(vs, key=lambda b: order_key(self.alg, b))
+        return lie_extreme(self.alg, vs, sign)
 
     def degree_in(self, b):
         """Largest exponent of basis element b in any monomial."""
@@ -256,39 +258,39 @@ class Polynomial:
 def poisson_bracket(f, g):
     """{f, g}: the biderivation extending the Lie bracket, as the sum over
     the variables b of g of dg/db * {f, b}."""
-    _check_same(f, g)
+    _check_same(f.alg, g)
     out = Polynomial.zero(f.alg)
     for b in g.variables():
         out = out + g.derivative(b) * pb_with_var(f, b)
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DTuple:
-    """Finite tuple of basis elements with uniform degree sign.
+    """The tuple t of the operator D_t over the algebra alg: a nonempty
+    tuple of basis elements of alg, all of positive degree (sign "+") or
+    all of negative degree (sign "-").
 
-    Entries of a "+" tuple have positive degree, entries of a "-" tuple
-    negative degree; the tuple is nonempty.
+    Making one checks each entry once and reads the sign from the first
+    entry's degree; d_op and d_leader then only check that t.alg is theirs.
     """
 
+    alg: object
     entries: tuple
-    sign: str
+    sign: str = field(init=False)
 
     def __post_init__(self):
-        if self.sign not in (PLUS, MINUS):
-            raise ValueError("sign must be '+' or '-'")
         if not self.entries:
             raise ValueError("empty tuple")
-
-    def validate(self, alg):
+        alg, sign = self.alg, None
         for b in self.entries:
             validate_element(alg, b)
             d = degree(alg, b)
-            if self.sign == PLUS and d <= 0:
-                raise ValueError("'+' tuple entry of degree %d" % d)
-            if self.sign == MINUS and d >= 0:
-                raise ValueError("'-' tuple entry of degree %d" % d)
-        return self
+            if sign is None:
+                sign = PLUS if d > 0 else MINUS
+            if d == 0 or (d > 0) != (sign == PLUS):
+                raise ValueError("%r tuple entry of degree %d" % (sign, d))
+        object.__setattr__(self, "sign", sign)
 
 
 def pb_with_var(f, b):
@@ -304,7 +306,7 @@ def pb_with_var(f, b):
 
 def d_op(f, t):
     """Iterated Poisson bracket of f with the entries of t, left to right."""
-    t.validate(f.alg)
+    _check_same(f.alg, t)
     out = f
     for b in t.entries:
         out = pb_with_var(out, b)
@@ -324,6 +326,6 @@ def d_bracket(alg, b, t):
 def d_leader(alg, b, t):
     """Extreme element of the iterated bracket of b along t, None if zero."""
     validate_element(alg, b)
-    t.validate(alg)
+    _check_same(alg, t)
     v = d_bracket(alg, b, t)
     return lie_extreme(alg, v, t.sign) if v else None

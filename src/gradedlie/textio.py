@@ -27,13 +27,12 @@ from .algebras import (
     IDX,
     INT,
     algebra_to_str,
-    degree,
     element_to_str,
     parse_algebra,
     validate_element,
 )
 from .elim import CertTerm, MultiplierExp, ReductionCertificate
-from .poly import DTuple, MINUS, PLUS, Polynomial, mono, mono_sort_key
+from .poly import DTuple, Polynomial, mono, mono_sort_key
 
 
 class ParseError(ValueError):
@@ -302,11 +301,7 @@ def cert_from_json(s):
             gi = _index(entry["generator"], len(gens), "term generator index")
             dt = None
             if entry["tuple"] is not None:
-                entries = tuple(parse_element(alg, n) for n in entry["tuple"])
-                if not entries:
-                    raise SchemaError("empty tuple")
-                sign = PLUS if degree(alg, entries[0]) > 0 else MINUS
-                dt = DTuple(entries, sign).validate(alg)
+                dt = DTuple(alg, tuple(parse_element(alg, n) for n in entry["tuple"]))
             terms.append(CertTerm(parse_poly(alg, entry["coeff"]), gi, dt))
         return ReductionCertificate(
             alg=alg,

@@ -277,6 +277,8 @@ class TestArguments:
             ("--alg", "witt+", "check-dagger", "--window", "1", "1"),
             ("--alg", "witt", "check-dagger", "--window", "50", "50"),
             ("--alg", "witt+", "check-cofinite", "e[1]", "--window", "-3", "0"),
+            ("--alg", "witt", "check-dicksonian", ""),
+            ("--alg", "witt", "check-dicksonian", " "),
         ],
         ids=[
             "dagger-inverted-window",
@@ -295,6 +297,8 @@ class TestArguments:
             "dagger-one-element-window",
             "dagger-one-element-window-far-out",
             "cofinite-empty-window",
+            "dicksonian-no-pair",
+            "dicksonian-blank-pair",
         ],
     )
     def test_vacuous_inputs_rejected(self, capsys, argv):

@@ -83,7 +83,7 @@ class TestPartialReduce:
         term = cert.terms[0]
         assert term.coeff == Polynomial.const(WITT_POS, Fraction(1, 2))
         assert term.gen == 0
-        assert term.dtuple == DTuple((e(3),), PLUS)
+        assert term.dtuple == DTuple(WITT_POS, (e(3),))
         assert d_op(lam[0], term.dtuple) == P(WITT_POS, "4*e[1]*e[4]")
         assert verify_certificate(WITT_POS, cert) is True
 
@@ -159,6 +159,19 @@ class TestFullReduce:
         remainder, cert = full_reduce(WITT_POS, g, lam)
         assert remainder.degree_in(e(1)) < 2
         assert remainder.degree_in(e(2)) < 2
+        assert is_reduced(WITT_POS, remainder, lam) is True
+        assert verify_certificate(WITT_POS, cert) is True
+
+    def test_fixpoint_is_not_decided_again(self, monkeypatch):
+        # is_reduced_sequence decides each generator against the other
+        # once; after the last partial fixpoint only degrees are checked.
+        calls = []
+        decide = elim.is_partially_reduced
+        monkeypatch.setattr(elim, "is_partially_reduced",
+                            lambda *args: calls.append(args[1]) or decide(*args))
+        lam = (P(WITT_POS, "e[1]^2"), P(WITT_POS, "e[2]^2"))
+        remainder, cert = full_reduce(WITT_POS, P(WITT_POS, "e[1]^2*e[2] + e[3]"), lam)
+        assert calls == list(lam)
         assert is_reduced(WITT_POS, remainder, lam) is True
         assert verify_certificate(WITT_POS, cert) is True
 

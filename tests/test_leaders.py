@@ -8,6 +8,7 @@ import tracemalloc
 import pytest
 
 from gradedlie import (
+    AlgebraMismatch,
     DegreeGapExceeded,
     DTuple,
     InvalidElement,
@@ -56,7 +57,7 @@ def sorted_tuples(alg, d, sign):
         def rec(prefix, rem, slots):
             if slots == 0:
                 if rem == 0:
-                    out.append(DTuple(tuple(prefix), sign))
+                    out.append(DTuple(alg, tuple(prefix)))
                 return
             for deg in range(step, rem - (slots - 1) * step + step, step):
                 if deg not in pools:
@@ -137,12 +138,12 @@ SEARCH_GRID = (
 class TestTupleSpace:
     def test_positive_compositions(self):
         assert list(iter_tuples(WITT_POS, 2, PLUS)) == [
-            DTuple((e(2),), PLUS),
-            DTuple((e(1), e(1)), PLUS),
+            DTuple(WITT_POS, (e(2),)),
+            DTuple(WITT_POS, (e(1), e(1))),
         ]
 
     def test_negative_singleton(self):
-        assert list(iter_tuples(WITT, -1, MINUS)) == [DTuple((e(-1),), MINUS)]
+        assert list(iter_tuples(WITT, -1, MINUS)) == [DTuple(WITT, (e(-1),))]
 
     def test_zero_degree_rejected(self):
         with pytest.raises(ValueError):
@@ -160,7 +161,7 @@ class TestTupleSpace:
     def test_total_degree_invariant(self):
         for t in iter_tuples(WITT, 4, PLUS):
             assert sum(degree(WITT, b) for b in t.entries) == 4
-            t.validate(WITT)
+            assert (t.alg, t.sign) == (WITT, PLUS)
 
     @pytest.mark.parametrize("alg", list(WINDOWS), ids=algebra_to_str)
     def test_order_is_the_sorted_enumeration(self, alg):
@@ -168,36 +169,42 @@ class TestTupleSpace:
         for d in range(min(lo, -1), max(hi, 1) + 1):
             if d:
                 sign = PLUS if d > 0 else MINUS
-                assert list(iter_tuples(alg, d, sign)) == sorted_tuples(alg, d, sign), d
+                got = list(iter_tuples(alg, d, sign))
+                assert got == sorted_tuples(alg, d, sign), d
+                assert all((t.alg, t.sign) == (alg, sign) for t in got), d
 
 
 class TestLCondition:
     def test_singleton_component_vacuous(self):
-        assert l_condition_holds(WITT, e(1), DTuple((e(2),), PLUS)) is True
+        assert l_condition_holds(WITT, e(1), DTuple(WITT, (e(2),))) is True
 
     def test_virasoro_central_rival_vacuous(self):
-        assert l_condition_holds(VIR, e(0), DTuple((e(1),), PLUS)) is True
+        assert l_condition_holds(VIR, e(0), DTuple(VIR, (e(1),))) is True
 
     def test_cartan_w_rival_checked(self):
-        verdict = l_condition_holds(W2, w((0, 0), 2), DTuple((w((1, 1), 1),), PLUS))
+        verdict = l_condition_holds(W2, w((0, 0), 2), DTuple(W2, (w((1, 1), 1),)))
         assert isinstance(verdict, bool)
 
     def test_invalid_element_raises(self):
         with pytest.raises(InvalidElement):
-            l_condition_holds(W2, w((0, 0, 0), 1), DTuple((w((1, 1), 1),), PLUS))
+            l_condition_holds(W2, w((0, 0, 0), 1), DTuple(W2, (w((1, 1), 1),)))
+
+    def test_other_algebra_refused(self):
+        with pytest.raises(AlgebraMismatch):
+            l_condition_holds(WITT, e(1), DTuple(WITT_POS, (e(2),)))
 
     def test_zero_leader_raises(self):
         with pytest.raises(ZeroLeader):
-            l_condition_holds(WITT, e(1), DTuple((e(1),), PLUS))
+            l_condition_holds(WITT, e(1), DTuple(WITT, (e(1),)))
         with pytest.raises(ZeroLeader):
-            l_condition_holds(W2, w((0, 0), 2), DTuple((w((2, 0), 1),), PLUS))
+            l_condition_holds(W2, w((0, 0), 2), DTuple(W2, (w((2, 0), 1),)))
 
 
 class TestLMember:
     def test_witness_found(self):
         report = l_member(WITT, e(1), e(3), PLUS)
         assert report.verdict is True
-        assert report.witness == DTuple((e(2),), PLUS)
+        assert report.witness == DTuple(WITT, (e(2),))
 
     def test_excluded_element(self):
         assert l_member(WITT, e(1), e(2), PLUS).verdict is False
@@ -282,6 +289,10 @@ class TestLeadingDicksonian:
         )
         assert report.verdict is False
         assert report.failing == (1, 3)
+
+    def test_empty_sequence_rejected(self):
+        with pytest.raises(ValueError, match="empty pair sequence"):
+            check_leading_dicksonian(WITT_POS, [])
 
     def test_duplicate_pair_rejected(self):
         report = check_leading_dicksonian(WITT_POS, [(e(1), e(1)), (e(1), e(1))])

@@ -6,12 +6,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import gradedlie.poly
 from gradedlie import (
     MINUS,
     PLUS,
     AlgebraMismatch,
     ConstantPolynomial,
     DTuple,
+    InvalidElement,
     Polynomial,
     bracket_basis,
     d_leader,
@@ -248,50 +250,74 @@ class TestPoissonBracket:
 
 class TestDTuple:
     def test_sign_validation(self):
-        DTuple((e(1), e(2)), PLUS).validate(WITT)
-        with pytest.raises(ValueError):
-            DTuple((e(-1),), PLUS).validate(WITT)
-        with pytest.raises(ValueError):
-            DTuple((e(1),), MINUS).validate(WITT)
+        assert DTuple(WITT, (e(1), e(2))).sign == PLUS
+        assert DTuple(WITT, (e(-2), e(-1))).sign == MINUS
+        assert DTuple(H2, (dh((0, 1)),)).sign == MINUS
+        with pytest.raises(ValueError, match="^'\\+' tuple entry of degree -1$"):
+            DTuple(WITT, (e(1), e(-1)))
+        with pytest.raises(ValueError, match="^'-' tuple entry of degree 2$"):
+            DTuple(WITT, (e(-1), e(2)))
 
     def test_nonempty(self):
-        with pytest.raises(ValueError):
-            DTuple((), PLUS)
+        with pytest.raises(ValueError, match="^empty tuple$"):
+            DTuple(WITT, ())
 
     def test_bad_sign(self):
-        with pytest.raises(ValueError):
-            DTuple((e(1),), "*")
+        with pytest.raises(ValueError, match="^'-' tuple entry of degree 0$"):
+            DTuple(WITT, (e(0),))
+        with pytest.raises(ValueError, match="^'\\+' tuple entry of degree 0$"):
+            DTuple(WITT, (e(1), e(0)))
+        with pytest.raises(InvalidElement):
+            DTuple(WITT_POS, (e(-1),))
+        with pytest.raises(InvalidElement):
+            DTuple(WITT, (e(1), ("z",)))
+
+    def test_each_entry_checked_once(self, monkeypatch):
+        seen = []
+        check = gradedlie.poly.validate_element
+        monkeypatch.setattr(gradedlie.poly, "validate_element",
+                            lambda alg, b: seen.append(b) or check(alg, b))
+        DTuple(WITT, (e(1), e(2), e(1)))
+        assert seen == [e(1), e(2), e(1)]
+
+    def test_other_algebra_refused(self):
+        t = DTuple(WITT_POS, (e(2),))
+        with pytest.raises(AlgebraMismatch):
+            d_op(P(WITT, "e[1]"), t)
+        with pytest.raises(AlgebraMismatch):
+            d_leader(WITT, e(1), t)
+        assert d_leader(WITT_POS, e(1), t) == e(3)
 
 
 class TestDOperator:
     def test_single_step(self):
-        got = d_op(P(WITT_POS, "e[1]^2"), DTuple((e(3),), PLUS))
+        got = d_op(P(WITT_POS, "e[1]^2"), DTuple(WITT_POS, (e(3),)))
         assert got == P(WITT_POS, "4*e[1]*e[4]")
 
     def test_kills_constants(self):
         five = Polynomial.const(WITT, Fraction(5))
-        assert d_op(five, DTuple((e(2), e(1)), PLUS)).is_zero()
+        assert d_op(five, DTuple(WITT, (e(2), e(1)))).is_zero()
 
     def test_two_steps(self):
-        got = d_op(P(WITT, "e[1]"), DTuple((e(2), e(2)), PLUS))
+        got = d_op(P(WITT, "e[1]"), DTuple(WITT, (e(2), e(2))))
         assert got == P(WITT, "-e[5]")
 
     def test_folds_brackets(self):
         rng = random.Random(23)
         for _ in range(20):
             g = random_poly(WITT, rng, max_support=3)
-            t = DTuple((e(1), e(2)), PLUS)
+            t = DTuple(WITT, (e(1), e(2)))
             step = poisson_bracket(poisson_bracket(g, P(WITT, "e[1]")), P(WITT, "e[2]"))
             assert d_op(g, t) == step
 
 
 class TestDLeader:
     def test_nonzero(self):
-        assert d_leader(WITT, e(1), DTuple((e(2),), PLUS)) == e(3)
+        assert d_leader(WITT, e(1), DTuple(WITT, (e(2),))) == e(3)
 
     def test_zero_bracket(self):
-        assert d_leader(WITT, e(1), DTuple((e(1),), PLUS)) is None
+        assert d_leader(WITT, e(1), DTuple(WITT, (e(1),))) is None
 
     def test_hamiltonian_constant_kernel(self):
-        t = DTuple((dh((0, 1)),), MINUS)
+        t = DTuple(H2, (dh((0, 1)),))
         assert d_leader(H2, dh((1, 0)), t) is None

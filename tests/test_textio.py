@@ -177,6 +177,9 @@ class TestCertificateSchema:
             _set_multiplier("generator", -1),
             lambda doc: doc["multipliers"].append(dict(doc["multipliers"][0])),
             lambda doc: doc["generators"].__setitem__(0, "3"),
+            lambda doc: doc["terms"][0].update({"tuple": []}),
+            lambda doc: doc.update({"algebra": "witt"}) or doc["terms"][0].update(
+                {"tuple": ["e[3]", "e[-1]"]}),
         ],
         ids=[
             "negative-exponent",
@@ -185,6 +188,8 @@ class TestCertificateSchema:
             "negative-generator",
             "duplicate-multiplier",
             "constant-generator",
+            "empty-tuple",
+            "mixed-sign-tuple",
         ],
     )
     def test_rejected_at_load(self, edit):
