@@ -1,0 +1,123 @@
+"""Compare two checkouts on one benchmark workload by alternating pairs of runs.
+
+    python scripts/bench_pairs.py PARENT CHANGE --workload lemma --seeds 401-410 --seconds 30
+
+For each seed in the range, perfbench/run.py runs once in each checkout
+directory, with the same workload, seed and run length.  The checkout that
+runs first alternates from pair to pair.  Only the last stdout line of each
+run, perfbench's JSON result, is read; each run's result is echoed to
+stderr as it ends.
+
+For each metric the summary gives, per side, the median and quartiles over
+the pairs, and the number of pairs the change won (ties count for neither
+side).  A gain is claimed only when the change wins at least nine tenths of
+the pairs and the medians differ, in the better direction, by more than the
+parent's quartile spread (Q3 - Q1).  The better direction of each metric is
+read from the BENCHMARK.json beside this script.
+"""
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def quartiles(values):
+    """(Q1, median, Q3) of values, by the inclusive method."""
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, med, q3
+
+
+def summarize(pairs, better):
+    """One row per metric of the pairs' results.
+
+    pairs is a list of (parent, change) metric dicts {name: value}, one per
+    pair of runs; better maps a metric name to "higher" or "lower".  Metrics
+    missing from `better` or from any run are left out.  A row is a dict
+    with the metric's name, each side's (Q1, median, Q3), the pairs the
+    change won, the number of pairs, and whether a gain is claimed."""
+    rows = []
+    for name in sorted(better):
+        if not pairs or any(name not in p or name not in c for p, c in pairs):
+            continue
+        sign = 1 if better[name] == "higher" else -1
+        parent = quartiles([p[name] for p, _ in pairs])
+        change = quartiles([c[name] for _, c in pairs])
+        wins = sum(1 for p, c in pairs if sign * (c[name] - p[name]) > 0)
+        gain = wins >= 0.9 * len(pairs) and sign * (change[1] - parent[1]) > parent[2] - parent[0]
+        rows.append({"metric": name, "parent": parent, "change": change,
+                     "wins": wins, "pairs": len(pairs), "gain": gain})
+    return rows
+
+
+def format_rows(rows):
+    lines = ["| metric | parent median [Q1, Q3] | change median [Q1, Q3] | change/parent"
+             " | pairs won | gain |",
+             "| --- | --- | --- | ---: | ---: | --- |"]
+    for r in rows:
+        (p1, pm, p3), (c1, cm, c3) = r["parent"], r["change"]
+        ratio = "%.3f" % (cm / pm) if pm else "-"
+        lines.append("| `%s` | %.4g [%.4g, %.4g] | %.4g [%.4g, %.4g] | %s | %d/%d | %s |"
+                     % (r["metric"], pm, p1, p3, cm, c1, c3, ratio, r["wins"], r["pairs"],
+                        "yes" if r["gain"] else "no"))
+    return lines
+
+
+def run_once(checkout, workload, seed, seconds):
+    """perfbench's JSON result for one run in checkout."""
+    proc = subprocess.run(
+        [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds)],
+        cwd=checkout, capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def parse_seeds(text):
+    """The seeds of a range '401-410', or of a single seed '401'."""
+    lo, _, hi = text.partition("-")
+    return list(range(int(lo), int(hi or lo) + 1))
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("parent", help="checkout directory of the parent commit")
+    ap.add_argument("change", help="checkout directory of the change")
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--seeds", required=True, help="a range, e.g. 401-410")
+    ap.add_argument("--seconds", type=float, required=True)
+    args = ap.parse_args(argv)
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
+        bench = json.load(fh)
+    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+
+    pairs, failed, attempted, wrong = [], [0, 0], [0, 0], [False, False]
+    for k, seed in enumerate(parse_seeds(args.seeds)):
+        sides = [(0, args.parent), (1, args.change)]
+        got = {}
+        for side, checkout in (sides if k % 2 == 0 else sides[::-1]):
+            result = run_once(checkout, args.workload, seed, args.seconds)
+            got[side] = {name: m["value"] for name, m in result["metrics"].items()}
+            failed[side] += result["failed"]
+            attempted[side] += result["attempted"]
+            wrong[side] |= not result["correct"]
+            print(json.dumps({"pair": k + 1, "seed": seed, "side": ("parent", "change")[side],
+                              "failed": result["failed"], "correct": result["correct"],
+                              "metrics": got[side]}), file=sys.stderr, flush=True)
+        pairs.append((got[0], got[1]))
+
+    print("%s, seeds %s, %g s runs, %d pairs" % (args.workload, args.seeds, args.seconds, len(pairs)))
+    for side, label in enumerate(("parent", "change")):
+        print("%s: %d of %d commands failed%s" % (label, failed[side], attempted[side],
+                                                   ", a wrong result" if wrong[side] else ""))
+    print("\n".join(format_rows(summarize(pairs, better))))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

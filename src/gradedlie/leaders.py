@@ -27,7 +27,7 @@ from .algebras import (
     order_key,
     validate_element,
 )
-from .poly import DTuple, MINUS, PLUS, d_leader
+from .poly import DTuple, MINUS, PLUS, _d_leader, _trusted_dtuple, d_leader
 
 DEFAULT_MAX_GAP = 24
 
@@ -51,8 +51,15 @@ class MembershipReport:
     exceptions: tuple | None = None
 
 
-def _iter_length(alg, rem, sign, slots, pools):
-    """Tuples of `slots` entries with total degree rem, in entry-lex order.
+def _check_sign(sign):
+    """Refuse a sign other than PLUS and MINUS."""
+    if sign not in (PLUS, MINUS):
+        raise ValueError("sign must be '+' or '-'")
+
+
+def _iter_length(alg, rem, sign, slots, pools, prefix):
+    """The entry tuples that extend prefix by `slots` entries of total
+    degree rem, in entry-lex order.
 
     Each entry runs over its feasible degrees in ascending order and each
     degree's component in basis order; order_key leads with the degree,
@@ -69,16 +76,16 @@ def _iter_length(alg, rem, sign, slots, pools):
             pools[e] = enumerate_component(alg, e)
         for b in pools[e]:
             if slots == 1:
-                yield (b,)
+                yield prefix + (b,)
             else:
-                for rest in _iter_length(alg, rem - e, sign, slots - 1, pools):
-                    yield (b,) + rest
+                yield from _iter_length(alg, rem - e, sign, slots - 1, pools, prefix + (b,))
 
 
 def iter_tuples(alg, d, sign, max_gap=DEFAULT_MAX_GAP):
-    """All tuples of 𝔐-sign entries with total degree d, shortest first."""
-    if sign not in (PLUS, MINUS):
-        raise ValueError("sign must be '+' or '-'")
+    """All tuples of 𝔐-sign entries with total degree d, shortest first.
+    Every entry comes from enumerate_component at a degree of the sign,
+    so the tuples are made without checking them again."""
+    _check_sign(sign)
     if d == 0 or (d > 0) != (sign == PLUS):
         raise ValueError("degree %d incompatible with sign %r" % (d, sign))
     if abs(d) > max_gap:
@@ -87,8 +94,8 @@ def iter_tuples(alg, d, sign, max_gap=DEFAULT_MAX_GAP):
         )
     pools = {}
     for length in range(1, abs(d) + 1):
-        for t in _iter_length(alg, d, sign, length, pools):
-            yield DTuple(alg, t)
+        for entries in _iter_length(alg, d, sign, length, pools, ()):
+            yield _trusted_dtuple(alg, entries, sign)
 
 
 def _rivals(alg, M, sign):
@@ -106,7 +113,7 @@ def _dominates(alg, T, t, rivals):
     kT = order_key(alg, T)
     want_less = t.sign == PLUS
     for N in rivals:
-        DN = d_leader(alg, N, t)
+        DN = _d_leader(alg, N, t)
         if DN is None:
             continue
         kN = order_key(alg, DN)
@@ -145,6 +152,7 @@ def iter_witnesses(alg, M, T, sign, max_gap=DEFAULT_MAX_GAP):
 
 def l_member(alg, M, T, sign, max_gap=DEFAULT_MAX_GAP):
     """Decide T in L+(M) (sign "+") or T in L-(M) (sign "-")."""
+    _check_sign(sign)
     validate_element(alg, M)
     validate_element(alg, T)
     gap = degree(alg, T) - degree(alg, M)

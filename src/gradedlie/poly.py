@@ -8,7 +8,9 @@ integral, else a Fraction, by the rule of algebras.lie_add, through which
 sums and products accumulate.  The Poisson bracket extends the Lie bracket
 to this symmetric algebra as a biderivation, and the operator D_t iterates
 it along a DTuple t: d_op on polynomials, d_bracket and d_leader on basis
-elements.
+elements.  A DTuple made by its constructor checks its entries;
+leaders.iter_tuples makes its tuples from enumerated components through
+_trusted_dtuple, without checking them again.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ class ConstantPolynomial(ValueError):
 
 def _check_same(alg, x):
     """Raise AlgebraMismatch unless x (a polynomial or DTuple) is over alg."""
-    if x.alg != alg:
+    if x.alg is not alg and x.alg != alg:
         raise AlgebraMismatch("mixed algebras: %r vs %r" % (alg, x.alg))
 
 
@@ -273,6 +275,9 @@ class DTuple:
 
     Making one checks each entry once and reads the sign from the first
     entry's degree; d_op and d_leader then only check that t.alg is theirs.
+    leaders.iter_tuples makes its tuples through _trusted_dtuple instead,
+    without checking them again: it draws each entry from
+    enumerate_component at a degree of the tuple's sign.
     """
 
     alg: object
@@ -291,6 +296,16 @@ class DTuple:
             if d == 0 or (d > 0) != (sign == PLUS):
                 raise ValueError("%r tuple entry of degree %d" % (sign, d))
         object.__setattr__(self, "sign", sign)
+
+
+def _trusted_dtuple(alg, entries, sign):
+    """The DTuple of entries and sign over alg, made without a check: each
+    entry must be a basis element of alg whose degree has that sign."""
+    t = object.__new__(DTuple)
+    object.__setattr__(t, "alg", alg)
+    object.__setattr__(t, "entries", entries)
+    object.__setattr__(t, "sign", sign)
+    return t
 
 
 def pb_with_var(f, b):
@@ -327,5 +342,10 @@ def d_leader(alg, b, t):
     """Extreme element of the iterated bracket of b along t, None if zero."""
     validate_element(alg, b)
     _check_same(alg, t)
+    return _d_leader(alg, b, t)
+
+
+def _d_leader(alg, b, t):
+    """d_leader without its checks, for b and t known to be over alg."""
     v = d_bracket(alg, b, t)
     return lie_extreme(alg, v, t.sign) if v else None

@@ -24,7 +24,7 @@ from gradedlie import (
     search_leading_dicksonian,
     verify_claimed_subset,
 )
-from gradedlie import leaders
+from gradedlie import algebras, leaders, poly
 from gradedlie.algebras import (
     Z,
     algebra_to_str,
@@ -135,6 +135,15 @@ SEARCH_GRID = (
 )
 
 
+def spy_on_checks(monkeypatch):
+    """The list of elements that poly and leaders check from now on."""
+    seen = []
+    for module in (poly, leaders):
+        monkeypatch.setattr(module, "validate_element",
+                            lambda alg, b: seen.append(b) or algebras.validate_element(alg, b))
+    return seen
+
+
 class TestTupleSpace:
     def test_positive_compositions(self):
         assert list(iter_tuples(WITT_POS, 2, PLUS)) == [
@@ -157,6 +166,12 @@ class TestTupleSpace:
         with pytest.raises(DegreeGapExceeded):
             list(iter_tuples(WITT, 10, PLUS, max_gap=5))
         list(iter_tuples(WITT, 10, PLUS, max_gap=10))
+
+    def test_listing_checks_no_entry(self, monkeypatch):
+        seen = spy_on_checks(monkeypatch)
+        got = list(iter_tuples(W2, 3, PLUS))
+        assert len(got) > 3 and seen == []
+        assert got == [DTuple(W2, t.entries) for t in got]
 
     def test_total_degree_invariant(self):
         for t in iter_tuples(WITT, 4, PLUS):
@@ -219,6 +234,22 @@ class TestLMember:
 
             assert d_leader(W2, w((1, 1), 2), report.witness) == w((2, 1), 2)
             assert l_condition_holds(W2, w((1, 1), 2), report.witness)
+
+    def test_sign_refused(self):
+        for decide in (l_member, is_member):
+            with pytest.raises(ValueError, match="^sign must be '\\+' or '-'$"):
+                decide(WITT, e(1), e(3), "x")
+
+    def test_rival_leaders_are_not_checked(self, monkeypatch):
+        """M = x[1,0]d[2] has the rivals x[1,0]d[1] and x[0,1]d[1], both
+        compared along the witness; only M and T are checked."""
+        M, T = w((1, 0), 2), w((2, 0), 2)
+        witness = DTuple(W2, (w((2, 0), 1),))
+        seen = spy_on_checks(monkeypatch)
+        report = l_member(W2, M, T, PLUS)
+        assert report.verdict is True
+        assert report.witness == witness
+        assert set(seen) == {M, T}
 
     def test_witt_small_window(self):
         for n in (2, 3):

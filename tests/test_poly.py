@@ -288,6 +288,13 @@ class TestDTuple:
             d_leader(WITT, e(1), t)
         assert d_leader(WITT_POS, e(1), t) == e(3)
 
+    def test_d_leader_refuses_an_invalid_element(self):
+        t = DTuple(WITT_POS, (e(2),))
+        with pytest.raises(InvalidElement):
+            d_leader(WITT_POS, e(0), t)
+        with pytest.raises(InvalidElement):
+            d_leader(WITT_POS, ("z",), t)
+
 
 class TestDOperator:
     def test_single_step(self):
