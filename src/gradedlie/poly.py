@@ -4,11 +4,18 @@ A monomial is a tuple of (basis element, positive exponent) pairs sorted
 ascending by the algebra's basis order; the empty tuple is the constant
 monomial.  A polynomial stores {monomial: coefficient} with no zero
 values plus the algebra it lives over; a coefficient is an int while it is
-integral, else a Fraction, by the rule of algebras.lie_add, through which
-sums and products accumulate.  The Poisson bracket extends the Lie bracket
-to this symmetric algebra as a biderivation, and the operator D_t iterates
-it along a DTuple t: d_op on polynomials, d_bracket and d_leader on basis
-elements.  A DTuple made by its constructor checks its entries;
+integral, else a Fraction in lowest terms.  Sums and scalar multiples
+accumulate through algebras.lie_add.  Products and Poisson brackets are
+accumulated in plain ints: each operand's coefficients (and each
+structure constant used) are first cleared to integer numerators over one
+common denominator, every term pair then adds an int product into one
+{monomial: int} accumulator, and each output term is divided by the
+common denominator once, at the end.  The Poisson bracket extends the Lie
+bracket to this symmetric algebra as a biderivation; poisson_bracket and
+pb_with_var make it in one pass over the term pairs and the factors a^x
+of each term, without a partial-derivative polynomial.  The operator D_t
+iterates it along a DTuple t: d_op on polynomials, d_bracket and d_leader
+on basis elements.  A DTuple made by its constructor checks its entries;
 leaders.iter_tuples makes its tuples from enumerated components through
 _trusted_dtuple, without checking them again.
 """
@@ -17,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from .algebras import (
     bracket_basis,
@@ -82,9 +90,54 @@ def _merge(m1, m2, key):
     return tuple(out) + m1[i:] + m2[j:]
 
 
-def mono_sort_key(alg, m):
-    """Key for the leader-major canonical order on monomials."""
-    return tuple((order_key(alg, b), x) for b, x in reversed(m))
+def _times(m, e, key):
+    """The product of the monomial m and the basis element e, sorted by the
+    order keys in `key`."""
+    k = key[e]
+    for i, p in enumerate(m):
+        b = p[0]
+        if b == e:
+            return m[:i] + ((e, p[1] + 1),) + m[i + 1 :]
+        if key[b] > k:
+            return m[:i] + ((e, 1),) + m[i:]
+    return m + ((e, 1),)
+
+
+def _partials(m):
+    """(a, x, m / a) for each factor a^x of the monomial m."""
+    return [
+        (a, x, m[:i] + ((a, x - 1),) + m[i + 1 :] if x > 1 else m[:i] + m[i + 1 :])
+        for i, (a, x) in enumerate(m)
+    ]
+
+
+def _common_den(values):
+    """The least common multiple of the denominators of int or Fraction
+    values."""
+    den = 1
+    for c in values:
+        if type(c) is not int:
+            den = lcm(den, c.denominator)
+    return den
+
+
+def _numerators(terms, den):
+    """{k: c * den} as ints, for den a multiple of every denominator of the
+    values of terms."""
+    if den == 1:
+        return terms
+    return {
+        k: c * den if type(c) is int else c.numerator * (den // c.denominator)
+        for k, c in terms.items()
+    }
+
+
+def _over(acc, den):
+    """{k: c / den} for the nonzero int values c of acc: an int when it is
+    integral, else a Fraction in lowest terms."""
+    if den == 1:
+        return {k: c for k, c in acc.items() if c}
+    return {k: Fraction(c, den) if c % den else c // den for k, c in acc.items() if c}
 
 
 class Polynomial:
@@ -126,11 +179,7 @@ class Polynomial:
 
     def variables(self):
         """Set of basis elements occurring in some monomial."""
-        out = set()
-        for m in self.terms:
-            for b, _ in m:
-                out.add(b)
-        return out
+        return {b for m in self.terms for b, _ in m}
 
     def __eq__(self, other):
         return (
@@ -152,6 +201,8 @@ class Polynomial:
     def _plus(self, other, c):
         if isinstance(other, (int, Fraction)):
             other = Polynomial.const(self.alg, other)
+        elif not isinstance(other, Polynomial):
+            return NotImplemented
         _check_same(self.alg, other)
         return self._with_terms(lie_add(dict(self.terms), other.terms, c))
 
@@ -163,21 +214,35 @@ class Polynomial:
     def __sub__(self, other):
         return self._plus(other, -1)
 
+    def __rsub__(self, other):
+        return (-self)._plus(other, 1)
+
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self._with_terms(lie_add({}, self.terms, other))
+        if not isinstance(other, Polynomial):
+            return NotImplemented
         _check_same(self.alg, other)
         alg = self.alg
         key = {b: order_key(alg, b) for b in self.variables() | other.variables()}
-        t = {}
-        for m1, c1 in self.terms.items():
-            lie_add(t, {_merge(m1, m2, key): c2 for m2, c2 in other.terms.items()}, c1)
-        return self._with_terms(t)
+        d1 = _common_den(self.terms.values())
+        d2 = _common_den(other.terms.values())
+        t1 = _numerators(self.terms, d1)
+        t2 = _numerators(other.terms, d2).items()
+        acc = {}
+        get = acc.get
+        for m1, c1 in t1.items():
+            for m2, c2 in t2:
+                m = _merge(m1, m2, key)
+                acc[m] = get(m, 0) + c1 * c2
+        return self._with_terms(_over(acc, d1 * d2))
 
     __rmul__ = __mul__
 
     def __pow__(self, k):
-        """self ** k by repeated squaring."""
+        """self ** k by repeated squaring, for an int k >= 0."""
+        if type(k) is not int:
+            raise TypeError("polynomial exponent must be an int, not %r" % (k,))
         if k < 0:
             raise ValueError("negative power")
         out, base = None, self
@@ -225,7 +290,7 @@ class Polynomial:
                 else:
                     rest.append((bb, xx))
             out.setdefault(j, {})[tuple(rest)] = c
-        return {j: Polynomial(self.alg, t) for j, t in out.items()}
+        return {j: self._with_terms(t) for j, t in out.items()}
 
     def coefficient_of(self, b, j):
         """Coefficient polynomial of b**j (monomials free of b)."""
@@ -257,14 +322,59 @@ class Polynomial:
         return (order_key(self.alg, l), self.degree_in(l))
 
 
+def _bracket_table(alg, pairs):
+    """({(a, b): {e: n}}, den) for the nonzero brackets [a, b] of the given
+    pairs: [a, b] is the sum of n * e / den, with int numerators n over one
+    common denominator den."""
+    table = {}
+    den = 1
+    for ab in pairs:
+        br = bracket_basis(alg, *ab)
+        if br:
+            table[ab] = br
+            den = lcm(den, _common_den(br.values()))
+    if den != 1:
+        table = {ab: _numerators(br, den) for ab, br in table.items()}
+    return table, den
+
+
+def _keys(alg, variables, table):
+    """Order keys of the given variables and of the elements of the
+    brackets in table."""
+    elements = set(variables)
+    for br in table.values():
+        elements.update(br)
+    return {b: order_key(alg, b) for b in elements}
+
+
 def poisson_bracket(f, g):
-    """{f, g}: the biderivation extending the Lie bracket, as the sum over
-    the variables b of g of dg/db * {f, b}."""
+    """{f, g}: the biderivation extending the Lie bracket.  Each pair of
+    terms c*m of f and d*n of g, and each pair of factors a^x of m and b^y
+    of n, add x*y*c*d * (m/a) * (n/b) * [a, b]."""
     _check_same(f.alg, g)
-    out = Polynomial.zero(f.alg)
-    for b in g.variables():
-        out = out + g.derivative(b) * pb_with_var(f, b)
-    return out
+    alg = f.alg
+    vf, vg = f.variables(), g.variables()
+    table, bden = _bracket_table(alg, [(a, b) for a in vf for b in vg])
+    key = _keys(alg, vf | vg, table)
+    df = _common_den(f.terms.values())
+    dg = _common_den(g.terms.values())
+    sf = [(c, _partials(m)) for m, c in _numerators(f.terms, df).items()]
+    sg = [(c, _partials(m)) for m, c in _numerators(g.terms, dg).items()]
+    acc = {}
+    get = acc.get
+    for c1, parts1 in sf:
+        for c2, parts2 in sg:
+            c12 = c1 * c2
+            for a, x, r1 in parts1:
+                for b, y, r2 in parts2:
+                    br = table.get((a, b))
+                    if br is not None:
+                        c = c12 * x * y
+                        r = _merge(r1, r2, key)
+                        for e, n in br.items():
+                            m = _times(r, e, key)
+                            acc[m] = get(m, 0) + c * n
+    return f._with_terms(_over(acc, df * dg * bden))
 
 
 @dataclass(frozen=True, slots=True)
@@ -309,14 +419,25 @@ def _trusted_dtuple(alg, entries, sign):
 
 
 def pb_with_var(f, b):
-    """{f, b} for a single basis element b."""
+    """{f, b} for a single basis element b: each term c*m of f and each
+    factor a^x of m add x*c * (m/a) * [a, b]."""
     alg = f.alg
-    out = Polynomial.zero(alg)
-    for a in f.variables():
-        br = bracket_basis(alg, a, b)
-        if br:
-            out = out + f.derivative(a) * Polynomial.from_lie(alg, br)
-    return out
+    vf = f.variables()
+    table, bden = _bracket_table(alg, [(a, b) for a in vf])
+    key = _keys(alg, vf, table)
+    df = _common_den(f.terms.values())
+    acc = {}
+    get = acc.get
+    for m, c in _numerators(f.terms, df).items():
+        for i, (a, x) in enumerate(m):
+            br = table.get((a, b))
+            if br is not None:
+                r = m[:i] + ((a, x - 1),) + m[i + 1 :] if x > 1 else m[:i] + m[i + 1 :]
+                cx = c * x
+                for e, n in br.items():
+                    mm = _times(r, e, key)
+                    acc[mm] = get(mm, 0) + cx * n
+    return f._with_terms(_over(acc, df * bden))
 
 
 def d_op(f, t):

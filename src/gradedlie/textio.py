@@ -28,11 +28,12 @@ from .algebras import (
     INT,
     algebra_to_str,
     element_to_str,
+    order_key,
     parse_algebra,
     validate_element,
 )
 from .elim import CertTerm, MultiplierExp, ReductionCertificate
-from .poly import DTuple, Polynomial, mono, mono_sort_key
+from .poly import DTuple, Polynomial, mono
 
 
 class ParseError(ValueError):
@@ -197,15 +198,17 @@ def print_poly(f):
     if f.is_zero():
         return "0"
     alg = f.alg
+    variables = f.variables()
+    key = {b: order_key(alg, b) for b in variables}
+    name = {b: element_to_str(alg, b) for b in variables}
     items = sorted(
-        f.terms.items(), key=lambda it: mono_sort_key(alg, it[0]), reverse=True
+        f.terms.items(),
+        key=lambda it: tuple([(key[b], x) for b, x in reversed(it[0])]),
+        reverse=True,
     )
     parts = []
     for m, c in items:
-        body = "*".join(
-            element_to_str(alg, b) + ("^%d" % x if x > 1 else "")
-            for b, x in reversed(m)
-        )
+        body = "*".join([name[b] + ("^%d" % x if x > 1 else "") for b, x in reversed(m)])
         mag = abs(c)
         if not body:
             chunk = str(mag)

@@ -1,5 +1,6 @@
 """Sparse polynomials, leaders, ranks, Poisson brackets, D-operators."""
 
+import operator
 import random
 from fractions import Fraction
 
@@ -20,9 +21,10 @@ from gradedlie import (
     d_op,
     poisson_bracket,
 )
-from gradedlie.algebras import dh, e
-from gradedlie.poly import mono
+from gradedlie.algebras import Z, algebra_to_str, dh, e
+from gradedlie.poly import mono, pb_with_var
 from helpers import ALL_ALGEBRAS, H2, P, S3, VIR, W2, WITT, WITT_POS, random_poly, window_basis
+from poly_reference import reference_mul, reference_pb_with_var, reference_poisson_bracket
 
 
 @pytest.fixture
@@ -57,16 +59,6 @@ class TestArithmetic:
         assert five.is_constant() and not five.is_zero()
         assert five.constant_value() == 5
         assert Polynomial.zero(WITT_POS).is_zero()
-
-
-def reference_product(f, g):
-    """f * g term by term, each monomial made canonical by mono."""
-    t = {}
-    for m1, c1 in f.terms.items():
-        for m2, c2 in g.terms.items():
-            m = mono(f.alg, m1 + m2)
-            t[m] = t.get(m, 0) + Fraction(c1) * c2
-    return Polynomial(f.alg, t)
 
 
 @st.composite
@@ -107,8 +99,29 @@ class TestMultiplication:
     @given(poly_pairs())
     def test_product_matches_reference(self, pair):
         f, g = pair
-        assert f * g == reference_product(f, g)
-        assert g * f == reference_product(f, g)
+        assert f * g == reference_mul(f, g)
+        assert g * f == reference_mul(f, g)
+
+
+class TestOperands:
+    @pytest.mark.parametrize("bad", [0.5, None])
+    @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul])
+    def test_other_operands_are_type_errors(self, f, op, bad):
+        for args in ((f, bad), (bad, f)):
+            with pytest.raises(TypeError, match="^unsupported operand type"):
+                op(*args)
+
+    def test_scalars_are_operands(self, f):
+        assert f * 2 == f + f
+        assert f * Fraction(1, 2) + f * Fraction(1, 2) == f
+        assert 3 + f - 3 == f
+        assert 3 - f == -(f - 3)
+        assert Fraction(1, 2) - f + f == Polynomial.const(WITT_POS, Fraction(1, 2))
+
+    @pytest.mark.parametrize("k", [2.0, True, Fraction(2), "2", None])
+    def test_power_takes_an_int_exponent(self, f, k):
+        with pytest.raises(TypeError, match="^polynomial exponent must be an int, not "):
+            f**k
 
 
 def coefficient_types(f):
@@ -138,6 +151,101 @@ class TestCoefficientTypes:
         two = Polynomial(WITT, {m: Fraction(2)})
         assert two == Polynomial(WITT, {m: 2})
         assert coefficient_types(two) == {int}
+
+
+# The algebras the kernels are checked on: Virasoro's central term has a
+# Fraction structure constant, and cartan-w:2 has brackets of several terms.
+KERNEL_ALGEBRAS = [WITT, WITT_POS, VIR, W2]
+COEFFICIENTS = ["int", "fraction", "mixed"]
+
+
+def kernel_operands(alg, rng, kind):
+    """Two random polynomials over alg: with int coefficients, Fraction
+    coefficients, or one of each, constant terms included."""
+    pool = window_basis(alg)
+
+    def poly(integral):
+        terms = {}
+        for _ in range(rng.randint(1, 5)):
+            pairs = [(b, rng.randint(1, 3)) for b in rng.sample(pool, rng.randint(0, 3))]
+            if integral:
+                c = rng.choice([n for n in range(-9, 10) if n])
+            else:
+                c = Fraction(rng.randint(-9, 9), rng.randint(2, 12))
+            terms[mono(alg, pairs)] = c
+        return Polynomial(alg, terms)
+
+    return poly(kind == "int"), poly(kind != "fraction")
+
+
+def assert_canonical(p):
+    """No zero coefficient, and a coefficient is an int when integral, else
+    a Fraction."""
+    for c in p.terms.values():
+        assert type(c) in (int, Fraction), c
+        assert c != 0
+        assert type(c) is int or c.denominator != 1, c
+
+
+@pytest.mark.parametrize("kind", COEFFICIENTS)
+@pytest.mark.parametrize("alg", KERNEL_ALGEBRAS, ids=algebra_to_str)
+class TestKernelsMatchReference:
+    def test_product(self, alg, kind):
+        rng = random.Random(101)
+        for _ in range(30):
+            f, g = kernel_operands(alg, rng, kind)
+            got = f * g
+            assert got == reference_mul(f, g)
+            assert_canonical(got)
+
+    def test_pb_with_var(self, alg, kind):
+        rng = random.Random(103)
+        pool = window_basis(alg)
+        for _ in range(15):
+            f, _ = kernel_operands(alg, rng, kind)
+            for b in rng.sample(pool, 4):
+                got = pb_with_var(f, b)
+                assert got == reference_pb_with_var(f, b), (f, b)
+                assert_canonical(got)
+
+    def test_poisson_bracket(self, alg, kind):
+        rng = random.Random(107)
+        for _ in range(20):
+            f, g = kernel_operands(alg, rng, kind)
+            got = poisson_bracket(f, g)
+            assert got == reference_poisson_bracket(f, g), (f, g)
+            assert_canonical(got)
+
+
+class TestKernels:
+    def test_fraction_structure_constant(self):
+        # [e_2, e_-2] has the central term (2^3 - 2)/12 * z = 1/2 * z.
+        f = P(VIR, "3*e[2]^2 + e[1]")
+        got = pb_with_var(f, e(-2))
+        assert got == reference_pb_with_var(f, e(-2))
+        assert got.terms[mono(VIR, [(e(2), 1), (Z, 1)])] == 3
+        assert poisson_bracket(P(VIR, "e[2]"), P(VIR, "e[-2]")).terms[mono(VIR, [(Z, 1)])] == (
+            Fraction(1, 2)
+        )
+
+    def test_integral_results_are_ints(self):
+        got = poisson_bracket(P(VIR, "2*e[2]"), P(VIR, "e[-2]"))
+        assert_canonical(got)
+        assert got.terms[mono(VIR, [(Z, 1)])] == 1
+
+    def test_brackets_make_no_derivative_and_no_product(self, monkeypatch):
+        f = P(VIR, "1/2*e[2]*e[1]^2 + 3*z*e[-2] - 7")
+        g = P(VIR, "2/3*e[-2]*e[3] - e[1]")
+        calls = []
+        for name in ("derivative", "__mul__"):
+            orig = getattr(Polynomial, name)
+            monkeypatch.setattr(Polynomial, name,
+                                lambda self, x, _orig=orig, _name=name:
+                                calls.append(_name) or _orig(self, x))
+        assert not poisson_bracket(f, g).is_zero()
+        assert not pb_with_var(f, e(-2)).is_zero()
+        assert not d_op(f, DTuple(VIR, (e(-1), e(-2)))).is_zero()
+        assert calls == []
 
 
 class TestLeaders:
