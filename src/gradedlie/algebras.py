@@ -50,6 +50,11 @@ CONTACT_K = "ContactK"
 LOOP_SL2 = "LoopSl2"
 EXAMPLE_D = "ExampleD"
 
+# The two signs: PLUS picks positive degrees and largest elements, MINUS
+# negative degrees and smallest elements.
+PLUS = "+"
+MINUS = "-"
+
 
 class InvalidElement(ValueError):
     """Basis element does not belong to the algebra."""
@@ -396,8 +401,8 @@ def bracket_lie(alg, u, v):
 
 
 def lie_extreme(alg, v, sign):
-    """Largest ("+") or smallest ("-") basis element of a Lie element."""
-    pick = max if sign == "+" else min
+    """Largest (PLUS) or smallest (MINUS) basis element of a Lie element."""
+    pick = max if sign == PLUS else min
     return pick(v, key=lambda b: order_key(alg, b))
 
 

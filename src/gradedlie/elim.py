@@ -241,8 +241,9 @@ class _Reducer:
         init = f.initial(PLUS)
         while self.g.degree_in(L) >= d:
             self._tick()
-            r = self.g.degree_in(L)
-            hr = self.g.coefficient_of(L, r)
+            expansion = self.g.expand_in(L)
+            r = max(expansion)
+            hr = expansion[r]
             self.exps[fi][0] += 1
             c = hr * Polynomial.var(self.alg, L, exp=r - d)
             self.terms.append((c, fi, None, init))

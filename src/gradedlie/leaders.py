@@ -353,6 +353,11 @@ def check_dagger(alg, window):
         element, and
     (b) for same-sign M1 < M2 and M with [M1,M], [M2,M] nonzero, the
         extreme leaders satisfy l([M1,M]) < l([M2,M]).
+
+    For each M, (b) is checked on adjacent pairs only: the leaders must
+    rise strictly along the M1 whose bracket with M is nonzero, which by
+    transitivity covers every pair.  A failure of (b) reports the first
+    adjacent pair that breaks the rule, as (M1, M2, M).
     """
     elems = _window(alg, window, 2)
     for a, b in itertools.combinations(elems, 2):
@@ -371,14 +376,13 @@ def check_dagger(alg, window):
             if (degree(alg, b) > 0) == (sign == PLUS) and degree(alg, b) != 0
         ]
         for M in side:
-            for M1, M2 in itertools.combinations(side, 2):
-                b1 = bracket_basis(alg, M1, M)
-                b2 = bracket_basis(alg, M2, M)
-                if not b1 or not b2:
+            M1 = l1 = None  # the last M1 with [M1,M] nonzero, and l([M1,M])
+            for M2 in side:
+                br = bracket_basis(alg, M2, M)
+                if not br:
                     continue
-                l1 = lie_extreme(alg, b1, sign)
-                l2 = lie_extreme(alg, b2, sign)
-                if compare_basis(alg, l1, l2) >= 0:
+                l2 = lie_extreme(alg, br, sign)
+                if M1 is not None and compare_basis(alg, l1, l2) >= 0:
                     return MembershipReport(
                         False,
                         failing=(M1, M2, M),
@@ -390,6 +394,7 @@ def check_dagger(alg, window):
                             element_to_str(alg, M),
                         ),
                     )
+                M1, l1 = M2, l2
     return MembershipReport(True)
 
 

@@ -11,13 +11,16 @@ structure constant used) are first cleared to integer numerators over one
 common denominator, every term pair then adds an int product into one
 {monomial: int} accumulator, and each output term is divided by the
 common denominator once, at the end.  The Poisson bracket extends the Lie
-bracket to this symmetric algebra as a biderivation; poisson_bracket and
-pb_with_var make it in one pass over the term pairs and the factors a^x
-of each term, without a partial-derivative polynomial.  The operator D_t
-iterates it along a DTuple t: d_op on polynomials, d_bracket and d_leader
-on basis elements.  A DTuple made by its constructor checks its entries;
-leaders.iter_tuples makes its tuples from enumerated components through
-_trusted_dtuple, without checking them again.
+bracket to this symmetric algebra as a biderivation, and one loop makes
+it: _bracket_into adds cofactor * {f, b} into the accumulator, for a
+basis element b and a monomial cofactor.  pb_with_var calls it once, with
+the empty cofactor.  poisson_bracket calls it once for each term d*n of g
+and each factor b^y of n, with cofactor n/b and f's terms scaled by d*y.
+Neither builds a partial-derivative polynomial.  The operator D_t
+iterates the bracket along a DTuple t: d_op on polynomials, d_bracket and
+d_leader on basis elements.  A DTuple made by its constructor checks its
+entries; leaders.iter_tuples makes its tuples from enumerated components
+through _trusted_dtuple, without checking them again.
 """
 
 from __future__ import annotations
@@ -27,6 +30,8 @@ from fractions import Fraction
 from math import lcm
 
 from .algebras import (
+    MINUS,
+    PLUS,
     bracket_basis,
     bracket_lie,
     degree,
@@ -35,9 +40,6 @@ from .algebras import (
     order_key,
     validate_element,
 )
-
-PLUS = "+"
-MINUS = "-"
 
 
 class AlgebraMismatch(ValueError):
@@ -101,14 +103,6 @@ def _times(m, e, key):
         if key[b] > k:
             return m[:i] + ((e, 1),) + m[i:]
     return m + ((e, 1),)
-
-
-def _partials(m):
-    """(a, x, m / a) for each factor a^x of the monomial m."""
-    return [
-        (a, x, m[:i] + ((a, x - 1),) + m[i + 1 :] if x > 1 else m[:i] + m[i + 1 :])
-        for i, (a, x) in enumerate(m)
-    ]
 
 
 def _common_den(values):
@@ -292,10 +286,6 @@ class Polynomial:
             out.setdefault(j, {})[tuple(rest)] = c
         return {j: self._with_terms(t) for j, t in out.items()}
 
-    def coefficient_of(self, b, j):
-        """Coefficient polynomial of b**j (monomials free of b)."""
-        return self.expand_in(b).get(j, Polynomial.zero(self.alg))
-
     def derivative(self, b):
         """Formal partial derivative with respect to basis element b."""
         t = {}
@@ -309,8 +299,8 @@ class Polynomial:
 
     def initial(self, sign):
         """Coefficient of the highest power of the leader."""
-        l = self.leader(sign)
-        return self.coefficient_of(l, self.degree_in(l))
+        expansion = self.expand_in(self.leader(sign))
+        return expansion[max(expansion)]
 
     def separant(self, sign):
         """Partial derivative with respect to the leader."""
@@ -322,59 +312,62 @@ class Polynomial:
         return (order_key(self.alg, l), self.degree_in(l))
 
 
-def _bracket_table(alg, pairs):
-    """({(a, b): {e: n}}, den) for the nonzero brackets [a, b] of the given
-    pairs: [a, b] is the sum of n * e / den, with int numerators n over one
-    common denominator den."""
+def _bracket_table(alg, variables, others, cofactor_vars):
+    """(table, den, key) for the brackets [a, b], a in variables and b in
+    others.  table maps each (a, b) with a nonzero bracket to {e: n}: [a, b]
+    is the sum of n * e / den, with int numerators n over one common
+    denominator den.  key holds the order keys of variables, of
+    cofactor_vars and of the elements of those brackets: all that
+    _bracket_into orders, for cofactors in the variables cofactor_vars."""
     table = {}
     den = 1
-    for ab in pairs:
-        br = bracket_basis(alg, *ab)
-        if br:
-            table[ab] = br
-            den = lcm(den, _common_den(br.values()))
+    elements = {*variables, *cofactor_vars}
+    for a in variables:
+        for b in others:
+            br = bracket_basis(alg, a, b)
+            if br:
+                table[a, b] = br
+                den = lcm(den, _common_den(br.values()))
+                elements.update(br)
     if den != 1:
         table = {ab: _numerators(br, den) for ab, br in table.items()}
-    return table, den
+    return table, den, {e: order_key(alg, e) for e in elements}
 
 
-def _keys(alg, variables, table):
-    """Order keys of the given variables and of the elements of the
-    brackets in table."""
-    elements = set(variables)
-    for br in table.values():
-        elements.update(br)
-    return {b: order_key(alg, b) for b in elements}
+def _bracket_into(acc, terms, b, cofactor, table, key):
+    """Add cofactor * {f, b} into the int accumulator acc, for terms the
+    (monomial, int coefficient) pairs of f: each term c*m of f and each
+    factor a^x of m add x*c * (m/a) * cofactor * [a, b].  table and key
+    come from _bracket_table, and cofactor is a monomial."""
+    get = acc.get
+    for m, c in terms:
+        for i, (a, x) in enumerate(m):
+            br = table.get((a, b))
+            if br is not None:
+                r = m[:i] + ((a, x - 1),) + m[i + 1 :] if x > 1 else m[:i] + m[i + 1 :]
+                r = _merge(r, cofactor, key)
+                cx = c * x
+                for e, n in br.items():
+                    mm = _times(r, e, key)
+                    acc[mm] = get(mm, 0) + cx * n
 
 
 def poisson_bracket(f, g):
-    """{f, g}: the biderivation extending the Lie bracket.  Each pair of
-    terms c*m of f and d*n of g, and each pair of factors a^x of m and b^y
-    of n, add x*y*c*d * (m/a) * (n/b) * [a, b]."""
+    """{f, g}: the biderivation extending the Lie bracket.  Each term d*n of
+    g and each factor b^y of n add d*y * (n/b) * {f, b}."""
     _check_same(f.alg, g)
-    alg = f.alg
-    vf, vg = f.variables(), g.variables()
-    table, bden = _bracket_table(alg, [(a, b) for a in vf for b in vg])
-    key = _keys(alg, vf | vg, table)
+    vg = g.variables()
+    table, den, key = _bracket_table(f.alg, f.variables(), vg, vg)
     df = _common_den(f.terms.values())
     dg = _common_den(g.terms.values())
-    sf = [(c, _partials(m)) for m, c in _numerators(f.terms, df).items()]
-    sg = [(c, _partials(m)) for m, c in _numerators(g.terms, dg).items()]
+    tf = _numerators(f.terms, df).items()
     acc = {}
-    get = acc.get
-    for c1, parts1 in sf:
-        for c2, parts2 in sg:
-            c12 = c1 * c2
-            for a, x, r1 in parts1:
-                for b, y, r2 in parts2:
-                    br = table.get((a, b))
-                    if br is not None:
-                        c = c12 * x * y
-                        r = _merge(r1, r2, key)
-                        for e, n in br.items():
-                            m = _times(r, e, key)
-                            acc[m] = get(m, 0) + c * n
-    return f._with_terms(_over(acc, df * dg * bden))
+    for n, d in _numerators(g.terms, dg).items():
+        for i, (b, y) in enumerate(n):
+            cofactor = n[:i] + ((b, y - 1),) + n[i + 1 :] if y > 1 else n[:i] + n[i + 1 :]
+            dy = d * y
+            _bracket_into(acc, [(m, c * dy) for m, c in tf], b, cofactor, table, key)
+    return f._with_terms(_over(acc, df * dg * den))
 
 
 @dataclass(frozen=True, slots=True)
@@ -419,25 +412,12 @@ def _trusted_dtuple(alg, entries, sign):
 
 
 def pb_with_var(f, b):
-    """{f, b} for a single basis element b: each term c*m of f and each
-    factor a^x of m add x*c * (m/a) * [a, b]."""
-    alg = f.alg
-    vf = f.variables()
-    table, bden = _bracket_table(alg, [(a, b) for a in vf])
-    key = _keys(alg, vf, table)
+    """{f, b} for a single basis element b."""
+    table, den, key = _bracket_table(f.alg, f.variables(), (b,), ())
     df = _common_den(f.terms.values())
     acc = {}
-    get = acc.get
-    for m, c in _numerators(f.terms, df).items():
-        for i, (a, x) in enumerate(m):
-            br = table.get((a, b))
-            if br is not None:
-                r = m[:i] + ((a, x - 1),) + m[i + 1 :] if x > 1 else m[:i] + m[i + 1 :]
-                cx = c * x
-                for e, n in br.items():
-                    mm = _times(r, e, key)
-                    acc[mm] = get(mm, 0) + cx * n
-    return f._with_terms(_over(acc, df * bden))
+    _bracket_into(acc, _numerators(f.terms, df).items(), b, (), table, key)
+    return f._with_terms(_over(acc, df * den))
 
 
 def d_op(f, t):

@@ -35,6 +35,7 @@ from gradedlie.algebras import (
     enumerate_component,
     order_key,
     parse_algebra,
+    sa,
     sb,
     w,
 )
@@ -499,6 +500,31 @@ class TestCheckDagger:
 
     def test_special_s2(self):
         assert check_dagger(S2, WINDOWS[S2]).verdict is True
+
+    def test_special_s2_with_shape_a_below_shape_b_fails_b(self, monkeypatch):
+        # S_n's order puts ShapeA above ShapeB in each degree; with ShapeA
+        # below ShapeB instead, S_2 still meets (a) but breaks (b).
+        fam = algebras._FAMILIES[S2.family]
+        swapped = fam._replace(tail=lambda alg, b: (0,) + fam.tail(alg, b)[1:]
+                               if b[0] == "sa" else fam.tail(alg, b))
+        monkeypatch.setitem(algebras._FAMILIES, S2.family, swapped)
+        report = check_dagger(S2, (-1, 4))
+        assert report.verdict is False
+        assert len(report.failing) == 3  # (b) reports (M1, M2, M); (a) a pair
+        M1, M2, M = report.failing
+        assert report.failing == (sb((2, 1), 2), sb((1, 2), 2), sa((0, 2)))
+        sign = PLUS if degree(S2, M) > 0 else MINUS
+        assert compare_basis(S2, M1, M2) < 0
+        assert (degree(S2, M1) > 0) == (degree(S2, M2) > 0) == (sign == PLUS)
+        b1, b2 = algebras.bracket_basis(S2, M1, M), algebras.bracket_basis(S2, M2, M)
+        assert b1 and b2
+        l1, l2 = algebras.lie_extreme(S2, b1, sign), algebras.lie_extreme(S2, b2, sign)
+        assert compare_basis(S2, l1, l2) >= 0
+        # adjacent: no element of the side between M1 and M2 brackets nonzero with M
+        side = [b for b in elements_in_window(S2, -1, 4)
+                if degree(S2, b) != 0 and (degree(S2, b) > 0) == (sign == PLUS)]
+        between = side[side.index(M1) + 1:side.index(M2)]
+        assert not any(algebras.bracket_basis(S2, N, M) for N in between)
 
     def test_vacuous_windows_rejected(self):
         # no basis element, or one, leaves no pair to check; the cofiniteness
