@@ -449,9 +449,11 @@ def enumerate_component(alg, d):
 
 
 def elements_in_window(alg, lo, hi):
-    """All basis elements with degree in [lo, hi], sorted."""
+    """All basis elements with degree in [lo, hi], sorted.  The degrees
+    below the algebra's least one are skipped, not scanned."""
+    floor = min_degree(alg)
     out = []
-    for d in range(lo, hi + 1):
+    for d in range(lo if floor is None else max(lo, floor), hi + 1):
         out += enumerate_component(alg, d)
     return out
 

@@ -7,6 +7,12 @@ by exhausting the finitely many tuples with the right total degree, and
 the dominance condition only needs checking against the finitely many
 basis elements in M's own graded component (lower components are forced
 by the grading).
+
+The decisions of one public call share one _Table: the graded components
+it enumerates, and, per component and tuple t, the running extreme of the
+rivals' iterated leaders along t.  Dominance of M along t is then one
+comparison with that row.  A table lives for one call only; nothing is
+kept between calls.
 """
 
 from __future__ import annotations
@@ -57,13 +63,64 @@ def _check_sign(sign):
         raise ValueError("sign must be '+' or '-'")
 
 
-def _iter_length(alg, rem, sign, slots, pools, prefix):
+class _Table:
+    """What the decisions of one public call share, for that call only.
+
+    components maps a degree to its enumerate_component list: iter_tuples
+    draws its entries from it, and a decision finds M's rivals in it.
+    rows maps (degree d, entries of a tuple t) to the row of d's component
+    along t: row[j] is the extreme order key (the largest for sign "+",
+    the smallest for "-") of the nonzero iterated leaders along t of the j
+    component elements nearest the bottom ("+") or the top ("-"), None
+    while there is none.  A row is extended only as far as a decision asks.
+    """
+
+    __slots__ = ("alg", "components", "rows")
+
+    def __init__(self, alg):
+        self.alg = alg
+        self.components = {}
+        self.rows = {}
+
+    def component(self, d):
+        comp = self.components.get(d)
+        if comp is None:
+            comp = self.components[d] = enumerate_component(self.alg, d)
+        return comp
+
+    def dominates(self, d, count, kT, t):
+        """Whether the order key kT lies strictly beyond, on t's side, the
+        iterated leader along t of each of the first `count` elements of
+        row (d, t) that has one.  The row only moves towards kT as it
+        grows, so a failing prefix settles the answer."""
+        if not count:
+            return True
+        plus = t.sign == PLUS
+        row = self.rows.get((d, t.entries))
+        if row is None:
+            row = self.rows[d, t.entries] = [None]
+        comp = self.components[d]
+        while True:
+            k = row[min(count, len(row) - 1)]
+            if k is not None and (k >= kT if plus else k <= kT):
+                return False
+            if len(row) > count:
+                return True
+            DN = _d_leader(self.alg, comp[len(row) - 1] if plus else comp[-len(row)], t)
+            if DN is not None:
+                kN = order_key(self.alg, DN)
+                if k is None or (kN > k if plus else kN < k):
+                    k = kN
+            row.append(k)
+
+
+def _iter_length(rem, sign, slots, component, prefix):
     """The entry tuples that extend prefix by `slots` entries of total
     degree rem, in entry-lex order.
 
     Each entry runs over its feasible degrees in ascending order and each
     degree's component in basis order; order_key leads with the degree,
-    so this is entry-lex order.  pools holds the components by degree.
+    so this is entry-lex order.  component(e) is the component of degree e.
     """
     if slots == 1:
         degrees = (rem,)
@@ -72,19 +129,18 @@ def _iter_length(alg, rem, sign, slots, pools, prefix):
     else:
         degrees = range(rem + slots - 1, 0)
     for e in degrees:
-        if e not in pools:
-            pools[e] = enumerate_component(alg, e)
-        for b in pools[e]:
+        for b in component(e):
             if slots == 1:
                 yield prefix + (b,)
             else:
-                yield from _iter_length(alg, rem - e, sign, slots - 1, pools, prefix + (b,))
+                yield from _iter_length(rem - e, sign, slots - 1, component, prefix + (b,))
 
 
-def iter_tuples(alg, d, sign, max_gap=DEFAULT_MAX_GAP):
+def iter_tuples(alg, d, sign, max_gap=DEFAULT_MAX_GAP, *, table=None):
     """All tuples of 𝔐-sign entries with total degree d, shortest first.
-    Every entry comes from enumerate_component at a degree of the sign,
-    so the tuples are made without checking them again."""
+    Every entry comes from a component of the table (a fresh one if
+    table is None), at a degree of the sign, so the tuples are made
+    without checking them again."""
     _check_sign(sign)
     if d == 0 or (d > 0) != (sign == PLUS):
         raise ValueError("degree %d incompatible with sign %r" % (d, sign))
@@ -92,9 +148,10 @@ def iter_tuples(alg, d, sign, max_gap=DEFAULT_MAX_GAP):
         raise DegreeGapExceeded(
             "tuple degree %d exceeds safety limit %d" % (d, max_gap)
         )
-    pools = {}
+    if table is None:
+        table = _Table(alg)
     for length in range(1, abs(d) + 1):
-        for entries in _iter_length(alg, d, sign, length, pools, ()):
+        for entries in _iter_length(d, sign, length, table.component, ()):
             yield _trusted_dtuple(alg, entries, sign)
 
 
@@ -135,37 +192,47 @@ def l_condition_holds(alg, M, t):
     return _dominates(alg, T, t, _rivals(alg, M, t.sign))
 
 
-def iter_witnesses(alg, M, T, sign, max_gap=DEFAULT_MAX_GAP):
-    """Tuples t with iterated leader T and the dominance condition.  M's
-    rivals are listed once, the first time a tuple's leader is T."""
-    gap = degree(alg, T) - degree(alg, M)
+def iter_witnesses(alg, M, T, sign, max_gap=DEFAULT_MAX_GAP, *, table=None):
+    """Tuples t with iterated leader T and the dominance condition, in
+    iter_tuples order, decided through the table (a fresh one if table is
+    None).  M's rivals are counted, and T's order key taken, once: the
+    first time a tuple's leader is T."""
+    dM = degree(alg, M)
+    gap = degree(alg, T) - dM
     if gap == 0 or (gap > 0) != (sign == PLUS):
         return
-    rivals = None
-    for t in iter_tuples(alg, gap, sign, max_gap):
+    if table is None:
+        table = _Table(alg)
+    count = None
+    for t in iter_tuples(alg, gap, sign, max_gap, table=table):
         if d_leader(alg, M, t) == T:
-            if rivals is None:
-                rivals = _rivals(alg, M, sign)
-            if _dominates(alg, T, t, rivals):
+            if count is None:
+                comp = table.component(dM)
+                at = comp.index(M)
+                count = at if sign == PLUS else len(comp) - 1 - at
+                kT = order_key(alg, T)
+            if table.dominates(dM, count, kT, t):
                 yield t
 
 
-def l_member(alg, M, T, sign, max_gap=DEFAULT_MAX_GAP):
-    """Decide T in L+(M) (sign "+") or T in L-(M) (sign "-")."""
+def l_member(alg, M, T, sign, max_gap=DEFAULT_MAX_GAP, *, table=None):
+    """Decide T in L+(M) (sign "+") or T in L-(M) (sign "-").  The witness
+    is the first tuple of iter_witnesses; the decision shares the table
+    (a fresh one if table is None) with the others of the caller."""
     _check_sign(sign)
     validate_element(alg, M)
     validate_element(alg, T)
     gap = degree(alg, T) - degree(alg, M)
     if gap == 0 or (gap > 0) != (sign == PLUS):
         return MembershipReport(False, notes="degree gap %d has the wrong sign" % gap)
-    for t in iter_witnesses(alg, M, T, sign, max_gap):
+    for t in iter_witnesses(alg, M, T, sign, max_gap, table=table):
         return MembershipReport(True, witness=t)
     return MembershipReport(False, notes="no tuple of degree %d works" % gap)
 
 
-def is_member(alg, M, T, sign, max_gap=DEFAULT_MAX_GAP):
+def is_member(alg, M, T, sign, max_gap=DEFAULT_MAX_GAP, *, table=None):
     """Boolean form of l_member, decided afresh on every call."""
-    return l_member(alg, M, T, sign, max_gap).verdict
+    return l_member(alg, M, T, sign, max_gap, table=table).verdict
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +243,8 @@ def check_leading_dicksonian(alg, pairs, max_gap=DEFAULT_MAX_GAP):
     """Verify the defining conditions of a leading-Dicksonian sequence.
 
     pairs is a nonempty sequence of (M, N) with M <= N.  Reports the first
-    failing (i, j), 1-based, scanning i then j.
+    failing (i, j), 1-based, scanning i then j.  Its decisions share one
+    table.
     """
     pairs = [tuple(p) for p in pairs]
     if not pairs:
@@ -188,20 +256,21 @@ def check_leading_dicksonian(alg, pairs, max_gap=DEFAULT_MAX_GAP):
             return MembershipReport(
                 False, failing=(idx, idx), notes="pair %d has M > N" % idx
             )
+    table = _Table(alg)
     for i in range(len(pairs)):
         for j in range(i + 1, len(pairs)):
             if pairs[i] == pairs[j]:
                 return MembershipReport(
                     False, failing=(i + 1, j + 1), notes="duplicate pair"
                 )
-            if is_member(alg, pairs[i][0], pairs[j][0], MINUS, max_gap):
+            if is_member(alg, pairs[i][0], pairs[j][0], MINUS, max_gap, table=table):
                 return MembershipReport(
                     False,
                     failing=(i + 1, j + 1),
                     notes="%s in L-(%s)"
                     % (element_to_str(alg, pairs[j][0]), element_to_str(alg, pairs[i][0])),
                 )
-            if is_member(alg, pairs[i][1], pairs[j][1], PLUS, max_gap):
+            if is_member(alg, pairs[i][1], pairs[j][1], PLUS, max_gap, table=table):
                 return MembershipReport(
                     False,
                     failing=(i + 1, j + 1),
@@ -219,11 +288,12 @@ def search_leading_dicksonian(alg, degree_bound, length_bound, max_gap=DEFAULT_M
     candidates shows that no extension of it can beat the best sequence
     found so far (Carraghan & Pardalos 1990), with sets of pool pairs held
     as int bitmasks (San Segundo et al. 2011).  Each membership row is
-    decided on first use."""
+    decided on first use, and all of them share one table."""
     elems = elements_in_window(alg, -degree_bound, degree_bound)
     if not elems or length_bound <= 0:
         raise ValueError("search needs a nonempty degree window and a positive length bound")
     n = len(elems)
+    table = _Table(alg)
     pool = [(i, j) for i in range(n) for j in range(i, n)]
     full = (1 << len(pool)) - 1
     # firsts[k], seconds[k]: the pool pairs whose M, whose N, is elems[k].
@@ -242,7 +312,8 @@ def search_leading_dicksonian(alg, degree_bound, length_bound, max_gap=DEFAULT_M
         """n-bit mask of the elements before elems[i] in L-(elems[i])
         (MINUS), or after it in L+(elems[i]) (PLUS); only these can be members."""
         span = range(i) if sign == MINUS else range(i + 1, n)
-        return sum(1 << k for k in span if is_member(alg, elems[i], elems[k], sign, max_gap))
+        return sum(1 << k for k in span
+                   if is_member(alg, elems[i], elems[k], sign, max_gap, table=table))
 
     @functools.cache
     def follows(q):
@@ -404,19 +475,30 @@ def check_cofinite_window(alg, M, window, max_gap=DEFAULT_MAX_GAP):
     Collects the window elements in neither leader set (the exceptions).
     The verdict is a window-local judgement: on each side, either the
     exceptions stay strictly inside the window, or the window already
-    reaches the algebra's least degree so nothing below is missed.
+    reaches the algebra's least degree so nothing below is missed.  A
+    window holding an element more than max_gap away from M's degree is
+    refused up front; every degree from the least one up has an element.
+    The decisions share one table.
     """
-    elems = _window(alg, window, 1)
     lo, hi = window
     validate_element(alg, M)
     dM = degree(alg, M)
+    floor = min_degree(alg)
+    first = lo if floor is None else max(lo, floor)
+    if first <= hi and (first < dM - max_gap or hi > dM + max_gap):
+        raise DegreeGapExceeded(
+            "window (%d, %d) holds elements more than %d degrees from %s"
+            % (lo, hi, max_gap, element_to_str(alg, M))
+        )
+    elems = _window(alg, window, 1)
+    table = _Table(alg)
     exceptions = []
     for T in elems:
         dT = degree(alg, T)
         if dT > dM:
-            ok = is_member(alg, M, T, PLUS, max_gap)
+            ok = is_member(alg, M, T, PLUS, max_gap, table=table)
         elif dT < dM:
-            ok = is_member(alg, M, T, MINUS, max_gap)
+            ok = is_member(alg, M, T, MINUS, max_gap, table=table)
         else:
             ok = False
         if not ok:
@@ -424,7 +506,6 @@ def check_cofinite_window(alg, M, window, max_gap=DEFAULT_MAX_GAP):
     if not exceptions:
         return MembershipReport(True, exceptions=())
     k = max(abs(degree(alg, t) - dM) for t in exceptions)
-    floor = min_degree(alg)
     low_ok = (floor is not None and lo <= floor) or all(
         degree(alg, t) > lo for t in exceptions
     )
@@ -566,7 +647,10 @@ def verify_claimed_subset(alg, lemma, bound, max_gap=DEFAULT_MAX_GAP):
     """Machine-check a claimed inclusion of explicit elements in L+(M).
 
     Enumerates all (M, T) instances of the tagged claim with multi-index
-    entries bounded by `bound` and decides each membership exactly.
+    entries bounded by `bound` and decides each membership exactly; the
+    decisions share one table.  Every tag's claims at bound b reach a
+    degree gap of at least b - 2, so a bound above max_gap + 2 is refused
+    up front.
     """
     if lemma not in _LEMMA_FAMILIES:
         raise ValueError("unknown lemma tag: %r" % (lemma,))
@@ -575,11 +659,17 @@ def verify_claimed_subset(alg, lemma, bound, max_gap=DEFAULT_MAX_GAP):
     family, gen = _LEMMA_FAMILIES[lemma]
     if alg.family != family:
         raise ValueError("lemma %s is about %s, not %s" % (lemma, family, alg.family))
+    if bound > max_gap + 2:
+        raise DegreeGapExceeded(
+            "lemma %s at bound %d reaches degree gaps beyond the safety limit %d"
+            % (lemma, bound, max_gap)
+        )
+    table = _Table(alg)
     checked = 0
     failures = []
     for M, T in gen(alg, lemma, bound):
         checked += 1
-        if not is_member(alg, M, T, PLUS, max_gap):
+        if not is_member(alg, M, T, PLUS, max_gap, table=table):
             failures.append((M, T))
     if not checked:
         raise ValueError("lemma %s has no instance at bound %d" % (lemma, bound))

@@ -401,13 +401,20 @@ class DTuple:
         object.__setattr__(self, "sign", sign)
 
 
+_set_alg, _set_entries, _set_sign = (
+    DTuple.alg.__set__, DTuple.entries.__set__, DTuple.sign.__set__
+)
+
+
 def _trusted_dtuple(alg, entries, sign):
     """The DTuple of entries and sign over alg, made without a check: each
-    entry must be a basis element of alg whose degree has that sign."""
+    entry must be a basis element of alg whose degree has that sign.  The
+    slots are set through their descriptors, which the frozen dataclass's
+    __setattr__ does not guard."""
     t = object.__new__(DTuple)
-    object.__setattr__(t, "alg", alg)
-    object.__setattr__(t, "entries", entries)
-    object.__setattr__(t, "sign", sign)
+    _set_alg(t, alg)
+    _set_entries(t, entries)
+    _set_sign(t, sign)
     return t
 
 
@@ -430,12 +437,13 @@ def d_op(f, t):
 
 
 def d_bracket(alg, b, t):
-    """Iterated Lie bracket [[b, t1], t2, ...] as a Lie element."""
-    v = {b: 1}
-    for m in t.entries:
-        v = bracket_lie(alg, v, {m: 1})
+    """Iterated Lie bracket [[b, t1], t2, ...] as a Lie element.  The first
+    step is the bracket of two basis elements."""
+    v = bracket_basis(alg, b, t.entries[0])
+    for m in t.entries[1:]:
         if not v:
-            return {}
+            break
+        v = bracket_lie(alg, v, {m: 1})
     return v
 
 

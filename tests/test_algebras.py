@@ -331,6 +331,23 @@ class TestEnumeration:
                 seen.extend(comp)
             assert list(elements_in_window(alg, lo, hi)) == seen
 
+    def test_every_degree_from_the_least_up_has_an_element(self):
+        # leaders.check_cofinite_window reads a window's extreme degrees
+        # off its bounds on this ground.
+        for alg in ALL_ALGEBRAS:
+            floor = min_degree(alg)
+            lo = -8 if floor is None else floor
+            assert all(enumerate_component(alg, d) for d in range(lo, lo + 16))
+            if floor is not None:
+                assert enumerate_component(alg, floor - 1) == []
+
+    def test_degrees_below_the_least_are_not_scanned(self):
+        for alg in ALL_ALGEBRAS:
+            floor = min_degree(alg)
+            if floor is not None:
+                assert (elements_in_window(alg, -10**12, floor + 1)
+                        == elements_in_window(alg, floor, floor + 1))
+
 
 class TestSnProjection:
     def test_shape_a_passthrough(self):

@@ -218,6 +218,22 @@ class TestErrorHandling:
         assert code == 3
         assert err
 
+    @pytest.mark.parametrize("argv", [
+        ("--alg", "cartan-w:2", "verify-lemma", "W_i", "--bound", "100000000000"),
+        ("--alg", "witt", "check-cofinite", "e[2]", "--window", "-30", "30"),
+        ("--alg", "witt", "check-cofinite", "e[2]", "--window", "-100000000000", "100000000000"),
+    ], ids=["lemma-huge-bound", "cofinite-wide-window", "cofinite-huge-window"])
+    def test_huge_requests_trip_the_guard(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err.startswith("guard: ")
+
+    def test_window_far_below_the_least_degree(self, capsys):
+        near = run(capsys, "--alg", "witt+", "check-cofinite", "e[2]", "--window", "-3", "10")
+        far = run(capsys, "--alg", "witt+", "check-cofinite", "e[2]", "--window", "-100000000",
+                  "10")
+        assert far == near
+
     def test_unverified_certificate_exits_3(self, capsys, monkeypatch):
         monkeypatch.setattr(gradedlie.cli, "verify_certificate", lambda alg, cert: False)
         code, out, err = run(capsys, "--alg", "witt+", "reduce", "e[4]", "--by", "e[1]^2")

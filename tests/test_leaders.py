@@ -28,6 +28,7 @@ from gradedlie import algebras, leaders, poly
 from gradedlie.algebras import (
     Z,
     algebra_to_str,
+    bracket_basis as _bracket_basis,
     compare_basis,
     degree,
     e,
@@ -302,6 +303,19 @@ class TestDecisionsAgainstAScan:
                     report = l_member(alg, M, T, sign)
                     assert (report.verdict, report.witness) == (witness is not None, witness)
 
+    @pytest.mark.parametrize("order", ["forward", "reversed"])
+    def test_one_table_decides_like_fresh_ones(self, alg, window, order):
+        elems = elements_in_window(alg, *window)
+        queries = [(M, T, PLUS if degree(alg, T) > degree(alg, M) else MINUS)
+                   for M in elems for T in elems if degree(alg, T) != degree(alg, M)]
+        if order == "reversed":
+            queries.reverse()
+        table = leaders._Table(alg)
+        for M, T, sign in queries:
+            shared = l_member(alg, M, T, sign, table=table)
+            fresh = l_member(alg, M, T, sign)
+            assert (shared.verdict, shared.witness) == (fresh.verdict, fresh.witness)
+
     def test_condition_against_the_reference(self, alg, window):
         for M in elements_in_window(alg, *window):
             for d in (-3, -2, -1, 1, 2, 3):
@@ -365,13 +379,14 @@ class TestSearchLeadingDicksonian:
 
 def recording_l_member(monkeypatch):
     """Route leaders.l_member through a recorder; returns the list of
-    (M, T, sign) it was called with."""
+    (M, T, sign) it was called with.  Keywords (the caller's table) are
+    passed on."""
     calls = []
     decide = leaders.l_member
 
-    def recorder(alg, M, T, sign, max_gap=leaders.DEFAULT_MAX_GAP):
+    def recorder(alg, M, T, sign, max_gap=leaders.DEFAULT_MAX_GAP, **kwargs):
         calls.append((M, T, sign))
-        return decide(alg, M, T, sign, max_gap)
+        return decide(alg, M, T, sign, max_gap, **kwargs)
 
     monkeypatch.setattr(leaders, "l_member", recorder)
     return calls
@@ -389,6 +404,29 @@ class TestNoHiddenState:
         assert is_member(WITT, e(1), e(3), PLUS) is True
         assert is_member(WITT, e(1), e(3), PLUS) is True
         assert calls == [(e(1), e(3), PLUS)] * 2
+
+    def test_claims_keep_no_state_between_calls(self, monkeypatch):
+        calls = []
+        for module in (algebras, poly, leaders):
+            monkeypatch.setattr(module, "bracket_basis",
+                                lambda alg, a, b: calls.append(1) or _bracket_basis(alg, a, b))
+        counts = []
+        for _ in range(2):
+            del calls[:]
+            assert verify_claimed_subset(H2, "H_1", 3).verdict is True
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0
+
+    def test_a_long_scan_keeps_its_memory_bounded(self):
+        # 2**15 tuples of degree 16, none of which brackets the central Z.
+        tracemalloc.start()
+        try:
+            report = l_member(VIR, Z, e(16), PLUS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.verdict is False
+        assert peak < 2**20
 
 
 class TestExactSearch:
@@ -554,6 +592,23 @@ class TestCofiniteWindow:
         report = check_cofinite_window(WITT_POS, e(2), (1, 6))
         assert set(report.exceptions) <= {e(1), e(2), e(3), e(4)}
 
+    @pytest.mark.parametrize("alg, M, window", [
+        (WITT, e(2), (-30, 30)),
+        (WITT, e(2), (-10**11, 10**11)),
+        (WITT, e(2), (-22, 27)),
+        (WITT_POS, e(2), (-10**8, 27)),
+        (W2, w((0, 0), 1), (-1, 24)),
+    ])
+    def test_a_window_beyond_the_gap_limit_is_refused(self, alg, M, window):
+        with pytest.raises(DegreeGapExceeded):
+            check_cofinite_window(alg, M, window)
+
+    def test_the_limit_itself_is_allowed(self):
+        report = check_cofinite_window(WITT, e(2), (-3, 3), max_gap=5)
+        assert report.exceptions == check_cofinite_window(WITT, e(2), (-3, 3)).exceptions
+        with pytest.raises(DegreeGapExceeded):
+            check_cofinite_window(WITT, e(2), (-3, 3), max_gap=4)
+
 
 class TestVerifyClaimedSubset:
     def test_family_mismatch(self):
@@ -585,6 +640,29 @@ class TestVerifyClaimedSubset:
 
     def test_special_s_second_family(self):
         assert verify_claimed_subset(S2, "S_ii", 5).verdict is True
+
+    @pytest.mark.parametrize("alg, tags", [
+        (W2, ("W_i", "W_ii")), (W3, ("W_i", "W_ii")), (S2, ("S_i", "S_ii")),
+        (S3, ("S_i", "S_ii")), (H2, ("H_1", "H_2")), (K3, ("K_1", "K_2")),
+    ], ids=["cartan-w:2", "cartan-w:3", "special-s:2", "special-s:3", "hamiltonian:2",
+            "contact:3"])
+    def test_claims_at_bound_b_reach_gap_b_minus_2(self, alg, tags):
+        # The lower bound behind refusing a bound above max_gap + 2 up front.
+        for tag in tags:
+            gen = leaders._LEMMA_FAMILIES[tag][1]
+            for bound in (4, 5, 6):
+                gap = max(degree(alg, T) - degree(alg, M) for M, T in gen(alg, tag, bound))
+                assert gap >= bound - 2, (tag, bound)
+                if tag == "H_2":
+                    assert gap == bound - 2
+
+    def test_a_bound_beyond_the_gap_limit_is_refused(self):
+        # At bound 4 = max_gap + 2 the scan itself meets a claim of gap 4;
+        # above it the call is refused before any claim is made.
+        for bound in (4, 5, 10**11):
+            with pytest.raises(DegreeGapExceeded):
+                verify_claimed_subset(H2, "H_1", bound, max_gap=2)
+        assert verify_claimed_subset(H2, "H_1", 2, max_gap=2).verdict is True
 
     def test_failures_carry_exact_pairs(self, monkeypatch):
         # The degree-1 raise SB[2,1;2] -> SB[3,1;2] needs [M, M] = 0, so it
