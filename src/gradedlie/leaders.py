@@ -12,7 +12,8 @@ The decisions of one public call share one _Table: the graded components
 it enumerates, and, per component and tuple t, the running extreme of the
 rivals' iterated leaders along t.  Dominance of M along t is then one
 comparison with that row.  A table lives for one call only; nothing is
-kept between calls.
+kept between calls.  l_condition_holds answers one tuple through a fresh
+table by the same comparison, so the package has one dominance test.
 """
 
 from __future__ import annotations
@@ -88,6 +89,13 @@ class _Table:
             comp = self.components[d] = enumerate_component(self.alg, d)
         return comp
 
+    def rivals(self, M, sign):
+        """The number of M's rivals: the elements of M's component below M
+        ("+") or above it ("-"), which dominates takes as its count."""
+        comp = self.component(degree(self.alg, M))
+        at = comp.index(M)
+        return at if sign == PLUS else len(comp) - 1 - at
+
     def dominates(self, d, count, kT, t):
         """Whether the order key kT lies strictly beyond, on t's side, the
         iterated leader along t of each of the first `count` elements of
@@ -155,30 +163,6 @@ def iter_tuples(alg, d, sign, max_gap=DEFAULT_MAX_GAP, *, table=None):
             yield _trusted_dtuple(alg, entries, sign)
 
 
-def _rivals(alg, M, sign):
-    """The basis elements of M's graded component below M ("+") or above
-    it ("-"), in basis order: the only N the dominance condition compares
-    M with, since lower components are forced by the grading."""
-    comp = enumerate_component(alg, degree(alg, M))
-    at = comp.index(M)
-    return comp[:at] if sign == PLUS else comp[at + 1:]
-
-
-def _dominates(alg, T, t, rivals):
-    """Whether T, the iterated leader of M along t, lies strictly beyond,
-    on t's side, the iterated leader of every rival with a nonzero one."""
-    kT = order_key(alg, T)
-    want_less = t.sign == PLUS
-    for N in rivals:
-        DN = _d_leader(alg, N, t)
-        if DN is None:
-            continue
-        kN = order_key(alg, DN)
-        if (kN < kT) != want_less or kN == kT:
-            return False
-    return True
-
-
 def l_condition_holds(alg, M, t):
     """Whether the iterated leader of M along t dominates all rivals.
 
@@ -189,7 +173,8 @@ def l_condition_holds(alg, M, t):
     T = d_leader(alg, M, t)
     if T is None:
         raise ZeroLeader("tuple annihilates %s" % element_to_str(alg, M))
-    return _dominates(alg, T, t, _rivals(alg, M, t.sign))
+    table = _Table(alg)
+    return table.dominates(degree(alg, M), table.rivals(M, t.sign), order_key(alg, T), t)
 
 
 def iter_witnesses(alg, M, T, sign, max_gap=DEFAULT_MAX_GAP, *, table=None):
@@ -207,9 +192,7 @@ def iter_witnesses(alg, M, T, sign, max_gap=DEFAULT_MAX_GAP, *, table=None):
     for t in iter_tuples(alg, gap, sign, max_gap, table=table):
         if d_leader(alg, M, t) == T:
             if count is None:
-                comp = table.component(dM)
-                at = comp.index(M)
-                count = at if sign == PLUS else len(comp) - 1 - at
+                count = table.rivals(M, sign)
                 kT = order_key(alg, T)
             if table.dominates(dM, count, kT, t):
                 yield t
@@ -231,7 +214,7 @@ def l_member(alg, M, T, sign, max_gap=DEFAULT_MAX_GAP, *, table=None):
 
 
 def is_member(alg, M, T, sign, max_gap=DEFAULT_MAX_GAP, *, table=None):
-    """Boolean form of l_member, decided afresh on every call."""
+    """Boolean form of l_member; each call decides, through the caller's table."""
     return l_member(alg, M, T, sign, max_gap, table=table).verdict
 
 
@@ -288,7 +271,12 @@ def search_leading_dicksonian(alg, degree_bound, length_bound, max_gap=DEFAULT_M
     candidates shows that no extension of it can beat the best sequence
     found so far (Carraghan & Pardalos 1990), with sets of pool pairs held
     as int bitmasks (San Segundo et al. 2011).  Each membership row is
-    decided on first use, and all of them share one table."""
+    decided on first use, and all of them share one table.  The first row
+    spans the window, so with a length bound of 2 or more a window wider
+    than max_gap degrees is refused up front."""
+    if length_bound >= 2 and degree_bound - _lowest_degree(alg, -degree_bound) > max_gap:
+        raise DegreeGapExceeded("degree window (%d, %d) spans more than the safety limit %d"
+                                % (-degree_bound, degree_bound, max_gap))
     elems = elements_in_window(alg, -degree_bound, degree_bound)
     if not elems or length_bound <= 0:
         raise ValueError("search needs a nonempty degree window and a positive length bound")
@@ -404,6 +392,13 @@ def dickson_check(points):
 # Structural hypotheses on the algebra itself
 
 
+def _lowest_degree(alg, lo):
+    """The lowest degree from lo up that holds a basis element: every
+    degree from the algebra's least one up holds one."""
+    floor = min_degree(alg)
+    return lo if floor is None else max(lo, floor)
+
+
 def _window(alg, window, least):
     """The basis elements of a degree window, refused if it is inverted or
     holds fewer than `least` of them: a check on it would check nothing."""
@@ -483,8 +478,7 @@ def check_cofinite_window(alg, M, window, max_gap=DEFAULT_MAX_GAP):
     lo, hi = window
     validate_element(alg, M)
     dM = degree(alg, M)
-    floor = min_degree(alg)
-    first = lo if floor is None else max(lo, floor)
+    first = _lowest_degree(alg, lo)
     if first <= hi and (first < dM - max_gap or hi > dM + max_gap):
         raise DegreeGapExceeded(
             "window (%d, %d) holds elements more than %d degrees from %s"
@@ -506,6 +500,7 @@ def check_cofinite_window(alg, M, window, max_gap=DEFAULT_MAX_GAP):
     if not exceptions:
         return MembershipReport(True, exceptions=())
     k = max(abs(degree(alg, t) - dM) for t in exceptions)
+    floor = min_degree(alg)
     low_ok = (floor is not None and lo <= floor) or all(
         degree(alg, t) > lo for t in exceptions
     )
@@ -579,9 +574,9 @@ def _claims_s(alg, tag, bound):
                     # coefficient 2*i_2 - i_1, zero when i_1 == 2*i_k: the
                     # exception that _claims_h drops for H_2.  For n > 2 the
                     # rule is kept per k; dropping instances only weakens it.
+                    # Besides this rule and the sum rule above, no instance
+                    # is dropped.
                     if r == (i[0] + 1,) + i[1:] and i[0] == 2 * i[k - 1]:
-                        continue
-                    if i[0] >= 2 and r[k - 1] * (r[0] - i[0] + 2) + 1 == i[0]:
                         continue
                     yield M, ("sb", r, k)
 

@@ -222,7 +222,10 @@ class TestErrorHandling:
         ("--alg", "cartan-w:2", "verify-lemma", "W_i", "--bound", "100000000000"),
         ("--alg", "witt", "check-cofinite", "e[2]", "--window", "-30", "30"),
         ("--alg", "witt", "check-cofinite", "e[2]", "--window", "-100000000000", "100000000000"),
-    ], ids=["lemma-huge-bound", "cofinite-wide-window", "cofinite-huge-window"])
+        ("--alg", "witt", "search-dicksonian", "--degree-bound", "100000000000",
+         "--length-bound", "3"),
+    ], ids=["lemma-huge-bound", "cofinite-wide-window", "cofinite-huge-window",
+            "search-huge-window"])
     def test_huge_requests_trip_the_guard(self, capsys, argv):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (3, "")

@@ -40,7 +40,7 @@ from gradedlie.algebras import (
     sb,
     w,
 )
-from gradedlie.leaders import is_member, iter_tuples
+from gradedlie.leaders import is_member, iter_tuples, iter_witnesses
 from gradedlie.poly import d_leader
 from helpers import EXD, H2, K3, S2, S3, SL2, VIR, W1, W2, W3, WINDOWS, WITT, WITT_POS
 
@@ -264,13 +264,12 @@ class TestLMember:
 SCAN_WINDOWS = [(W2, (-1, 3)), (S2, (-1, 3)), (H2, (-1, 3)), (K3, (-2, 2)), (VIR, (-4, 4))]
 
 
-def scan_first_witness(alg, M, T, sign):
-    """The first tuple, shortest first then entry-lex, whose leader is T
-    and that passes l_condition_holds, or None."""
+def scan_witnesses(alg, M, T, sign):
+    """The tuples, shortest first then entry-lex, whose leader is T and
+    that pass reference_condition."""
     for t in iter_tuples(alg, degree(alg, T) - degree(alg, M), sign):
-        if d_leader(alg, M, t) == T and l_condition_holds(alg, M, t):
-            return t
-    return None
+        if d_leader(alg, M, t) == T and reference_condition(alg, M, t):
+            yield t
 
 
 def reference_condition(alg, M, t):
@@ -299,9 +298,19 @@ class TestDecisionsAgainstAScan:
                 gap = degree(alg, T) - degree(alg, M)
                 if gap:
                     sign = PLUS if gap > 0 else MINUS
-                    witness = scan_first_witness(alg, M, T, sign)
+                    witness = next(scan_witnesses(alg, M, T, sign), None)
                     report = l_member(alg, M, T, sign)
                     assert (report.verdict, report.witness) == (witness is not None, witness)
+
+    def test_every_witness(self, alg, window):
+        elems = elements_in_window(alg, *window)
+        for M in elems:
+            for T in elems:
+                gap = degree(alg, T) - degree(alg, M)
+                if gap:
+                    sign = PLUS if gap > 0 else MINUS
+                    assert (list(iter_witnesses(alg, M, T, sign))
+                            == list(scan_witnesses(alg, M, T, sign)))
 
     @pytest.mark.parametrize("order", ["forward", "reversed"])
     def test_one_table_decides_like_fresh_ones(self, alg, window, order):
@@ -640,6 +649,14 @@ class TestVerifyClaimedSubset:
 
     def test_special_s_second_family(self):
         assert verify_claimed_subset(S2, "S_ii", 5).verdict is True
+
+    def test_special_s_second_family_claims_every_member_it_reaches(self):
+        # Members that an exclusion with no derivation used to drop.
+        claims = set(leaders._claims_s(S2, "S_ii", 5))
+        for M, T in [((4, 1), (5, 1)), ((5, 0), (5, 2))]:
+            M, T = ("sb", M, 2), ("sb", T, 2)
+            assert (M, T) in claims
+            assert is_member(S2, M, T, PLUS) is True
 
     @pytest.mark.parametrize("alg, tags", [
         (W2, ("W_i", "W_ii")), (W3, ("W_i", "W_ii")), (S2, ("S_i", "S_ii")),
