@@ -482,7 +482,10 @@ _FAMILIES = {
     CARTAN_W1: _e_family("w1", -1),
     VIRASORO: Family(
         cli="virasoro",
-        kinds={"e": lambda alg, b: _int_field(b), "z": lambda alg, b: len(b) == 1},
+        kinds={
+            "e": lambda alg, b: _int_field(b),
+            "z": lambda alg, b: len(b) == 1,
+        },
         degree=lambda alg, b: 0 if b == Z else b[1],
         tail=lambda alg, b: (0 if b == Z else 1,),
         component=lambda alg, d: [Z, e(0)] if d == 0 else [e(d)],
@@ -550,7 +553,10 @@ _FAMILIES = {
     ),
     EXAMPLE_D: Family(
         cli="example-d",
-        kinds={"x": lambda alg, b: _int_field(b) and b[1] >= 1, "y": lambda alg, b: len(b) == 1},
+        kinds={
+            "x": lambda alg, b: _int_field(b) and b[1] >= 1,
+            "y": lambda alg, b: len(b) == 1,
+        },
         degree=lambda alg, b: 1 if b == Y else b[1],
         tail=lambda alg, b: (1 if b == Y else 0,),
         min_degree=1,

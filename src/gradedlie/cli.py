@@ -76,6 +76,7 @@ _GLOBAL = {
 }
 _BY = {"--by": ("+", str, _REQUIRED)}
 _WINDOW = {"--window": (2, int, _REQUIRED)}
+MAX_SAMPLES = 10**6  # the most Jacobi triples one jacobi-test may draw
 
 
 def _leaders(alg, args):
@@ -103,9 +104,9 @@ def _search_dicksonian(alg, args):
 
 
 def _jacobi_test(alg, args):
-    if args.samples <= 0:
-        raise UsageError("--samples must be positive")
-    pool = _window(alg, args.window, 1)
+    if not 0 < args.samples <= MAX_SAMPLES:
+        raise UsageError("--samples must be from 1 to %d" % MAX_SAMPLES)
+    pool = _window(alg, args.window, 1, args.max_degree_gap)
     rng = random.Random(args.seed)
     for _ in range(args.samples):
         a, b, c = (rng.choice(pool) for _ in range(3))
@@ -139,7 +140,7 @@ _COMMANDS = {
     "verify-lemma": (("tag",), {"--bound": (1, int, _REQUIRED)}, lambda alg, args: _report_doc(
         verify_claimed_subset(alg, args.tag, args.bound, max_gap=args.max_degree_gap), alg)),
     "check-dagger": ((), _WINDOW, lambda alg, args: _report_doc(
-        check_dagger(alg, tuple(args.window)), alg)),
+        check_dagger(alg, tuple(args.window), max_gap=args.max_degree_gap), alg)),
     "check-cofinite": (("m",), _WINDOW, lambda alg, args: _report_doc(check_cofinite_window(
         alg, args.m, tuple(args.window), max_gap=args.max_degree_gap), alg)),
     "jacobi-test": ((), {**_WINDOW, "--samples": (1, int, 100), "--seed": (1, int, 0)},

@@ -130,6 +130,10 @@ class _Reducer:
         self.input = g
         self.g = g
         self.lam = lam
+        # The generators do not change during a reduction, so their order
+        # by upper rank and their two leaders are read once.
+        self.order = sorted(range(len(lam)), key=lambda i: lam[i].rank(PLUS))
+        self.leaders = [{PLUS: f.leader(PLUS), MINUS: f.leader(MINUS)} for f in lam]
         self.max_gap = max_gap
         self.max_steps = max_steps
         self.steps = 0
@@ -149,10 +153,9 @@ class _Reducer:
             key=lambda b: order_key(self.alg, b),
             reverse=sign == PLUS,
         )
-        order = sorted(range(len(self.lam)), key=lambda i: self.lam[i].rank(PLUS))
         for v in variables:
-            for fi in order:
-                lf = self.lam[fi].leader(sign)
+            for fi in self.order:
+                lf = self.leaders[fi][sign]
                 witnessed = False
                 for t in iter_witnesses(self.alg, lf, v, sign, self.max_gap):
                     witnessed = True
@@ -166,8 +169,9 @@ class _Reducer:
     def _prepare(self, fi, v, t, sign):
         """Validate D_t(f) = alpha * s * v + h for this witness tuple."""
         f = self.lam[fi]
-        s = f.separant(sign)
-        alpha = d_bracket(self.alg, f.leader(sign), t)[v]
+        lf = self.leaders[fi][sign]
+        s = f.derivative(lf)  # the separant
+        alpha = d_bracket(self.alg, lf, t)[v]
         dtf = d_op(f, t)
         parts = dtf.expand_in(v)
         if set(parts) - {0, 1} or parts.get(1, Polynomial.zero(self.alg)) != alpha * s:

@@ -273,13 +273,19 @@ def search_leading_dicksonian(alg, degree_bound, length_bound, max_gap=DEFAULT_M
     as int bitmasks (San Segundo et al. 2011).  Each membership row is
     decided on first use, and all of them share one table.  The first row
     spans the window, so with a length bound of 2 or more a window wider
-    than max_gap degrees is refused up front."""
-    if length_bound >= 2 and degree_bound - _lowest_degree(alg, -degree_bound) > max_gap:
+    than max_gap degrees is refused up front.  A length bound of 1 decides
+    nothing: the answer is the first pair, the window's least element
+    twice, read without enumerating the window."""
+    first = _lowest_degree(alg, -degree_bound)
+    if first > degree_bound or length_bound <= 0:
+        raise ValueError("search needs a nonempty degree window and a positive length bound")
+    if length_bound == 1:
+        least = enumerate_component(alg, first)[0]
+        return [(least, least)]
+    if degree_bound - first > max_gap:
         raise DegreeGapExceeded("degree window (%d, %d) spans more than the safety limit %d"
                                 % (-degree_bound, degree_bound, max_gap))
     elems = elements_in_window(alg, -degree_bound, degree_bound)
-    if not elems or length_bound <= 0:
-        raise ValueError("search needs a nonempty degree window and a positive length bound")
     n = len(elems)
     table = _Table(alg)
     pool = [(i, j) for i in range(n) for j in range(i, n)]
@@ -399,12 +405,17 @@ def _lowest_degree(alg, lo):
     return lo if floor is None else max(lo, floor)
 
 
-def _window(alg, window, least):
+def _window(alg, window, least, max_gap=None):
     """The basis elements of a degree window, refused if it is inverted or
-    holds fewer than `least` of them: a check on it would check nothing."""
+    holds fewer than `least` of them: a check on it would check nothing.
+    Given max_gap, a window whose elements span more than max_gap degrees
+    is refused too, before any is enumerated."""
     lo, hi = window
     if lo > hi:
         raise ValueError("inverted degree window (%d, %d)" % (lo, hi))
+    if max_gap is not None and hi - _lowest_degree(alg, lo) > max_gap:
+        raise ValueError("degree window (%d, %d) spans more than the safety limit %d"
+                         % (lo, hi, max_gap))
     elems = elements_in_window(alg, lo, hi)
     if len(elems) < least:
         raise ValueError("degree window (%d, %d) holds %d basis element(s); the check needs %d"
@@ -412,7 +423,7 @@ def _window(alg, window, least):
     return elems
 
 
-def check_dagger(alg, window):
+def check_dagger(alg, window, max_gap=DEFAULT_MAX_GAP):
     """Check, on a degree window, the monomial-bracket hypothesis:
 
     (a) each bracket of basis elements is a scalar multiple of a basis
@@ -423,9 +434,10 @@ def check_dagger(alg, window):
     For each M, (b) is checked on adjacent pairs only: the leaders must
     rise strictly along the M1 whose bracket with M is nonzero, which by
     transitivity covers every pair.  A failure of (b) reports the first
-    adjacent pair that breaks the rule, as (M1, M2, M).
+    adjacent pair that breaks the rule, as (M1, M2, M).  A window spanning
+    more than max_gap degrees is refused up front.
     """
-    elems = _window(alg, window, 2)
+    elems = _window(alg, window, 2, max_gap)
     for a, b in itertools.combinations(elems, 2):
         br = bracket_basis(alg, a, b)
         if len(br) > 1:

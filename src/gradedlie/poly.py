@@ -9,10 +9,16 @@ accumulate through algebras.lie_add.  Products and Poisson brackets are
 accumulated in plain ints: each operand's coefficients (and each
 structure constant used) are first cleared to integer numerators over one
 common denominator, every term pair then adds an int product into one
-{monomial: int} accumulator, and each output term is divided by the
-common denominator once, at the end.  The Poisson bracket extends the Lie
-bracket to this symmetric algebra as a biderivation, and one loop makes
-it: _bracket_into adds cofactor * {f, b} into the accumulator, for a
+int-valued accumulator, and each output term is divided by the common
+denominator once, at the end.  A product of two operands of several
+terms each packs every monomial into one int, one bit field per
+variable (Monagan & Pearce's packed exponent vectors), so a product of
+monomials is one int sum; each output code is decoded back to its
+monomial as it is divided.  The stored form stays the monomial tuple.
+A product with a one-term operand merges the sorted tuples instead,
+since its pairs never meet on a monomial.  The Poisson bracket extends
+the Lie bracket to this symmetric algebra as a biderivation, and one loop
+makes it: _bracket_into adds cofactor * {f, b} into the accumulator, for a
 basis element b and a monomial cofactor.  pb_with_var calls it once, with
 the empty cofactor.  poisson_bracket calls it once for each term d*n of g
 and each factor b^y of n, with cofactor n/b and f's terms scaled by d*y.
@@ -134,6 +140,43 @@ def _over(acc, den):
     return {k: Fraction(c, den) if c % den else c // den for k, c in acc.items() if c}
 
 
+def _packed_product(alg, t1, t2, den):
+    """{monomial: coefficient} of the product of the int-coefficient terms
+    t1 and t2, divided by den.  Each monomial is packed into one int, with
+    one bit field per variable of either operand, in basis order from the
+    lowest bits up, each field wide enough for the largest exponent sum,
+    so a product of monomials is an int sum with no carry between fields.
+    Each output code is decoded back to its monomial in the same pass that
+    divides its coefficient by den."""
+    variables = sorted({b for t in (t1, t2) for m in t for b, _ in m},
+                       key=lambda b: order_key(alg, b))
+    top = (max(x for m in t1 for _, x in m)
+           + max(x for m in t2 for _, x in m))
+    width = top.bit_length()
+    shift = {b: i * width for i, b in enumerate(variables)}
+    p2 = [(sum(x << shift[b] for b, x in m), c) for m, c in t2.items()]
+    acc = {}
+    get = acc.get
+    for m1, c1 in t1.items():
+        k1 = sum(x << shift[b] for b, x in m1)
+        for k2, c2 in p2:
+            k = k1 + k2
+            acc[k] = get(k, 0) + c1 * c2
+    mask = (1 << width) - 1
+    out = {}
+    for k, c in acc.items():
+        if c:
+            m = []
+            for b in variables:
+                if not k:
+                    break
+                if k & mask:
+                    m.append((b, k & mask))
+                k >>= width
+            out[tuple(m)] = Fraction(c, den) if c % den else c // den
+    return out
+
+
 class Polynomial:
     """Immutable-by-convention sparse polynomial over Q, with int or
     Fraction coefficients."""
@@ -217,18 +260,17 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         _check_same(self.alg, other)
-        alg = self.alg
-        key = {b: order_key(alg, b) for b in self.variables() | other.variables()}
         d1 = _common_den(self.terms.values())
         d2 = _common_den(other.terms.values())
         t1 = _numerators(self.terms, d1)
-        t2 = _numerators(other.terms, d2).items()
-        acc = {}
-        get = acc.get
-        for m1, c1 in t1.items():
-            for m2, c2 in t2:
-                m = _merge(m1, m2, key)
-                acc[m] = get(m, 0) + c1 * c2
+        t2 = _numerators(other.terms, d2)
+        if len(t1) > 1 and len(t2) > 1:
+            return self._with_terms(_packed_product(self.alg, t1, t2, d1 * d2))
+        # One operand has at most one term, so distinct term pairs give
+        # distinct monomials: no pair adds into another's.
+        key = {b: order_key(self.alg, b) for b in self.variables() | other.variables()}
+        acc = {_merge(m1, m2, key): c1 * c2
+               for m1, c1 in t1.items() for m2, c2 in t2.items()}
         return self._with_terms(_over(acc, d1 * d2))
 
     __rmul__ = __mul__

@@ -373,10 +373,57 @@ class TestTextFormat:
         assert out == text
 
 
-def python(code, *args, **kw):
+def python(code, *args, timeout=120, **kw):
     """Run code in a fresh, isolated interpreter that imports gradedlie from SRC."""
     prelude = "import sys; sys.path.insert(0, %r); " % SRC
-    return subprocess.run([sys.executable, "-I", "-c", prelude + code, *args], timeout=120, **kw)
+    return subprocess.run([sys.executable, "-I", "-c", prelude + code, *args], timeout=timeout,
+                          **kw)
+
+
+HUGE = "100000000000"
+
+
+class TestUnboundedRequests:
+    """Requests whose size has no bound in the grammar end at once: each is
+    refused before any enumeration, or, for a length-one search, answered
+    without one."""
+
+    @pytest.mark.parametrize("argv, code, out, err", [
+        (("--alg", "witt", "check-dagger", "--window", "-" + HUGE, HUGE), 2, "",
+         "error: degree window (-%s, %s) spans more than the safety limit 24\n" % (HUGE, HUGE)),
+        (("--alg", "witt", "jacobi-test", "--window", "-" + HUGE, HUGE), 2, "",
+         "error: degree window (-%s, %s) spans more than the safety limit 24\n" % (HUGE, HUGE)),
+        (("--alg", "witt", "jacobi-test", "--window", "-3", "3", "--samples", HUGE), 2, "",
+         "error: --samples must be from 1 to 1000000\n"),
+        (("--alg", "witt", "search-dicksonian", "--degree-bound", HUGE, "--length-bound", "1"),
+         0, "length: 1\n(e[-%s], e[-%s])\n" % (HUGE, HUGE), ""),
+        (("--alg", "witt", "search-dicksonian", "--degree-bound", HUGE, "--length-bound", "0"),
+         2, "", "error: search needs a nonempty degree window and a positive length bound\n"),
+    ], ids=["dagger-huge-window", "jacobi-huge-window", "jacobi-huge-samples",
+            "search-huge-window-length-one", "search-huge-window-length-zero"])
+    def test_ends_at_once(self, argv, code, out, err):
+        proc = python("from gradedlie.cli import main; sys.exit(main(sys.argv[1:]))", *argv,
+                      timeout=5, capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+
+    @pytest.mark.parametrize("command", [
+        ("check-dagger",), ("jacobi-test", "--samples", "5"),
+    ], ids=["dagger", "jacobi"])
+    def test_window_span_limit_is_the_degree_gap(self, capsys, command):
+        def span(lo, hi, *gap):
+            return run(capsys, "--alg", "witt", *gap, *command, "--window", str(lo), str(hi))[0]
+
+        assert span(-12, 12) == 0
+        assert span(-12, 13) == 2
+        assert span(-12, 13, "--max-degree-gap", "25") == 0
+        # witt+ has no element below degree 1, so its windows span from there.
+        assert run(capsys, "--alg", "witt+", *command, "--window", "-100", "25")[0] == 0
+
+    def test_sample_cap(self, capsys):
+        argv = ("--alg", "witt", "jacobi-test", "--window", "-3", "3", "--samples")
+        code, out, err = run(capsys, *argv, str(gradedlie.cli.MAX_SAMPLES + 1))
+        assert (code, out) == (2, "")
+        assert err == "error: --samples must be from 1 to %d\n" % gradedlie.cli.MAX_SAMPLES
 
 
 PARTIAL_E4 = (

@@ -467,6 +467,10 @@ class TestExactSearch:
     def test_length_bound_one_decides_nothing(self, monkeypatch):
         calls = recording_l_member(monkeypatch)
         assert search_leading_dicksonian(WITT, 13, 1) == [(e(-13), e(-13))]
+        # The window is not enumerated either, however wide it is.
+        assert search_leading_dicksonian(WITT, 10**11, 1) == [(e(-10**11), e(-10**11))]
+        least = ("w", (0, 0, 0), 1)  # the least element of cartan-w:3, of degree -1
+        assert search_leading_dicksonian(W3, 10**11, 1) == [(least, least)]
         assert calls == []
         with pytest.raises(DegreeGapExceeded):
             search_leading_dicksonian(WITT, 13, 2)
@@ -584,6 +588,13 @@ class TestCheckDagger:
         with pytest.raises(ValueError, match="holds 0 basis element"):
             check_cofinite_window(WITT_POS, e(1), (-3, 0))
         assert check_cofinite_window(WITT_POS, e(1), (1, 1)).verdict is False
+
+    def test_window_wider_than_the_gap_limit_is_refused(self):
+        with pytest.raises(ValueError, match="spans more than the safety limit 24"):
+            check_dagger(WITT, (-13, 12))
+        assert check_dagger(WITT, (-13, 12), max_gap=25).verdict is True
+        # witt+ has nothing below degree 1, so the window spans degrees 1 to 25.
+        assert check_dagger(WITT_POS, (-10**11, 25)).verdict is True
 
 
 class TestCofiniteWindow:

@@ -23,7 +23,9 @@ from gradedlie import (
 )
 from gradedlie.algebras import Z, algebra_to_str, dh, e
 from gradedlie.poly import mono, pb_with_var
-from helpers import ALL_ALGEBRAS, H2, P, S3, VIR, W2, WITT, WITT_POS, random_poly, window_basis
+from helpers import (
+    ALL_ALGEBRAS, H2, H4, P, S3, VIR, W2, WITT, WITT_POS, random_poly, window_basis,
+)
 from poly_reference import reference_mul, reference_pb_with_var, reference_poisson_bracket
 
 
@@ -154,8 +156,9 @@ class TestCoefficientTypes:
 
 
 # The algebras the kernels are checked on: Virasoro's central term has a
-# Fraction structure constant, and cartan-w:2 has brackets of several terms.
-KERNEL_ALGEBRAS = [WITT, WITT_POS, VIR, W2]
+# Fraction structure constant, cartan-w:2 has brackets of several terms,
+# and hamiltonian:4 has elements with four indices.
+KERNEL_ALGEBRAS = [WITT, WITT_POS, VIR, W2, H4]
 COEFFICIENTS = ["int", "fraction", "mixed"]
 
 
@@ -215,6 +218,86 @@ class TestKernelsMatchReference:
             got = poisson_bracket(f, g)
             assert got == reference_poisson_bracket(f, g), (f, g)
             assert_canonical(got)
+
+
+def power_sum(alg, elements, exp):
+    """The sum of b^exp over the basis elements b, each with coefficient 1."""
+    return Polynomial(alg, {mono(alg, [(b, exp)]): 1 for b in elements})
+
+
+# Products at the edges of the packed kernel, each checked against the
+# reference.  Each variable's bit field is as wide as the largest exponent
+# sum of the operands needs: 3 + 4 = 7 fills three bits, 4 + 4 = 8 needs a
+# fourth, and the neighbouring fields must take no carry.
+EDGE_PRODUCTS = {
+    "field-full": (WITT, "e[1]^3 + 2*e[2]*e[1] - e[3]^3", "e[1]^4 - e[2]^4 + e[3]"),
+    "field-one-past": (WITT, "e[1]^4 + 2*e[2]*e[1] - e[3]^4", "e[1]^4 - e[2]^4 + e[3]"),
+    "byte-full": (WITT, "e[1]^127 + e[2]^255", "e[1]^128 + e[3]"),
+    "byte-one-past": (WITT, "e[1]^128 + e[2]^255", "e[1]^128 + e[2]"),
+    "word-one-past": (WITT, "e[1]^%d + e[2]" % 2**63, "e[1]^%d - e[2]^3" % 2**63),
+    "zero-left": (WITT, "0", "e[1] + e[2]^2"),
+    "zero-right": (WITT, "e[1] + e[2]^2", "0"),
+    "constant-left": (WITT, "-3/4", "e[1] + 2/3*e[2]^2"),
+    "constant-right": (WITT, "e[1] + 2/3*e[2]^2", "5"),
+    "constants": (WITT, "1/2", "4"),
+    "one-term-left": (WITT, "3/2*e[2]^2*e[-1]", "e[1] + 2/3*e[2]^2 - 1"),
+    "one-term-right": (WITT, "e[1] + 2/3*e[2]^2 - 1", "e[-1]*e[2]"),
+    "constant-term-each": (WITT, "e[1] - 1", "e[1] + 1"),
+    "int-from-fractions": (WITT, "1/2*e[1] + 1/2", "2*e[1] - 2*e[3]"),
+    "fractions-lowest-terms": (WITT, "1/6*e[1] + 1/4*e[2]", "3/5*e[1] - 2/9*e[2]"),
+    "cancelling": (WITT, "e[1] + e[2]", "e[1] - e[2]"),
+    "virasoro-z": (VIR, "z^2 + 1/2*z*e[1] - e[-1]", "z - e[0]*z^3 + 2*e[1]"),
+    "cartan-w-2": (W2, "x[1,0]d[2]^2 + 1/3*x[0,1]d[1] - x[2,0]d[1]*x[0,0]d[1]",
+                   "x[0,1]d[1]^3 - x[1,1]d[2] + 2"),
+    "hamiltonian-4": (H4, "DH[1,0,0,1]^2 - 1/2*DH[0,1,1,0] + DH[2,0,0,0]*DH[0,0,0,1]",
+                      "DH[1,0,0,1] + 3*DH[0,0,2,0]^2*DH[0,1,1,0]"),
+}
+
+
+class TestPackedProduct:
+    @pytest.mark.parametrize("case", sorted(EDGE_PRODUCTS))
+    def test_edge_products(self, case):
+        alg, a, b = EDGE_PRODUCTS[case]
+        f, g = P(alg, a), P(alg, b)
+        for got in (f * g, g * f):
+            assert got == reference_mul(f, g)
+            assert_canonical(got)
+
+    @pytest.mark.parametrize("n", [40, 65])
+    def test_codes_wider_than_a_machine_word(self, n):
+        # The largest exponent sum is 2 + 7 = 9, so each of the n variables
+        # has a four-bit field: codes of 160 and 260 bits.
+        elements = [e(i) for i in range(-(n // 2), n - n // 2)]
+        f = power_sum(WITT, elements, 2) + Polynomial.var(WITT, elements[0])
+        g = power_sum(WITT, elements[::3], 3) - Polynomial.var(WITT, elements[-1], exp=7)
+        got = f * g
+        assert got == reference_mul(f, g)
+        assert got.terms[mono(WITT, [(elements[0], 2), (elements[-1], 7)])] == -1
+        assert_canonical(got)
+
+    @pytest.mark.parametrize("alg, text", [
+        (VIR, "z + 1/2*e[1]*z - e[-1]"),
+        (W2, "x[1,0]d[2] - 1/3*x[0,1]d[1]^2 + 1"),
+        (H4, "DH[1,0,0,1] + 2/5*DH[0,1,1,0]*DH[1,0,0,0]"),
+    ], ids=["virasoro", "cartan-w:2", "hamiltonian:4"])
+    def test_power_matches_reference(self, alg, text):
+        f = P(alg, text)
+        want = Polynomial.const(alg, 1)
+        for k in range(6):
+            assert f**k == want, k
+            assert_canonical(f**k)
+            want = reference_mul(want, f)
+
+    def test_multi_term_product_merges_no_monomial(self, monkeypatch):
+        calls = []
+        merge = gradedlie.poly._merge
+        monkeypatch.setattr(gradedlie.poly, "_merge",
+                            lambda *args: calls.append(args) or merge(*args))
+        f, g = P(VIR, "z^2 + 1/2*e[1] - 3"), P(VIR, "e[1]^2 - z*e[-1]")
+        assert f * g == reference_mul(f, g)
+        assert calls == []
+        assert f * P(VIR, "2*z") == reference_mul(f, P(VIR, "2*z"))
+        assert calls
 
 
 class TestKernels:
