@@ -6,7 +6,10 @@ For each seed in the range, perfbench/run.py runs once in each checkout
 directory, with the same workload, seed and run length.  The checkout that
 runs first alternates from pair to pair.  Only the last stdout line of each
 run, perfbench's JSON result, is read; each run's result is echoed to
-stderr as it ends.
+stderr as it ends.  Before the first pair, each checkout's src tree is
+byte-compiled: a copied checkout holds stale .pyc files, and where
+PYTHONDONTWRITEBYTECODE is set no run rewrites them, so every server start
+of that side would recompile the package and read slower for it.
 
 For each metric the summary gives, per side, the median and quartiles over
 the pairs, and the number of pairs the change won (ties count for neither
@@ -69,6 +72,12 @@ def format_rows(rows):
     return lines
 
 
+def compile_sources(checkout):
+    """Write an up-to-date .pyc for every module under checkout/src."""
+    subprocess.run([sys.executable, "-m", "compileall", "-q", "src"], cwd=checkout,
+                   check=True)
+
+
 def run_once(checkout, workload, seed, seconds):
     """perfbench's JSON result for one run in checkout."""
     proc = subprocess.run(
@@ -96,6 +105,8 @@ def main(argv=None):
         bench = json.load(fh)
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
 
+    for checkout in (args.parent, args.change):
+        compile_sources(checkout)
     pairs, failed, attempted, wrong = [], [0, 0], [0, 0], [False, False]
     for k, seed in enumerate(parse_seeds(args.seeds)):
         sides = [(0, args.parent), (1, args.change)]

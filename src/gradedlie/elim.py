@@ -3,8 +3,13 @@
 partial_reduce removes every variable of g lying in an extreme-leader
 set L+(l+(f)) or L-(l-(f)) of some generator f, using the separant-based
 substitution: for a witness tuple t, D_t(f) = alpha * s * T + h with T
-absent from s and h, so s*T can be rewritten as (D_t(f) - h)/alpha at
-the price of a separant power on the left.  full_reduce then clears high
+absent from s and h.  With g = sum h_j T^j of degree r in T, b = -h/alpha
+and P(X) = sum h_j s^(r-j) X^j,
+
+    s^r * g = P(s*T) = P(b) + Q * D_t(f)/alpha,  Q = (P(s*T) - P(b))/(s*T - b),
+
+since X - b divides P(X) - P(b) and s*T - b = D_t(f)/alpha: s*T becomes
+b at the price of s^r on the left.  full_reduce then clears high
 leader powers by classical pseudo-division with the initials.
 
 Every run carries an exact certificate
@@ -182,32 +187,26 @@ class _Reducer:
         return fi, v, t, sign, s, alpha, h
 
     def _eliminate(self, step):
+        """One descending Horner pass from p_r = q_r = h_r: p_j = p_(j+1)*b
+        + h_j s^(r-j) ends at p_0 = P(b), and q_j = q_(j+1)*(s*v) + p_j at
+        q_1 = Q, by synthetic division of P(X) by X - b (module docstring)."""
         fi, v, t, sign, s, alpha, h = step
-        alg = self.alg
         parts = self.g.expand_in(v)
         r = max(parts)
         b = h * (Fraction(-1) / alpha)
-        sv = s * Polynomial.var(alg, v)
-        # s^k and b^k for k <= r, and inner[j] = sum over u < j of
-        # (s*v)^u * b^(j-1-u) for 1 <= j <= r, each built once.
-        one = Polynomial.const(alg, 1)
-        spow, bpow = [one, s], [one, b]
-        inner, svpow = [None, one], one
-        for j in range(2, r + 1):
-            spow.append(spow[-1] * s)
-            bpow.append(bpow[-1] * b)
-            svpow = svpow * sv
-            inner.append(inner[-1] * b + svpow)
-        new_g = Polynomial.zero(alg)
-        coeff = Polynomial.zero(alg)
-        for j, hj in parts.items():
-            w = hj * spow[r - j]
-            new_g = new_g + w * bpow[j]
-            if j >= 1:
-                coeff = coeff + w * inner[j]
+        sv = s * Polynomial.var(self.alg, v)
+        p = q = parts[r]
+        spow = s  # s^(r-j) in the pass below, and s^r after it
+        for j in range(r - 1, -1, -1):
+            p = p * b
+            if j in parts:
+                p = p + parts[j] * spow
+            if j:
+                q = q * sv + p
+                spow = spow * s
         self.exps[fi][1 if sign == PLUS else 2] += r
-        self.terms.append((coeff * (Fraction(1) / alpha), fi, t, spow[r]))
-        self.g = new_g
+        self.terms.append((q * (Fraction(1) / alpha), fi, t, spow))
+        self.g = p
 
     def run_pass(self, sign):
         """Eliminate offenders of one sign until none remain."""

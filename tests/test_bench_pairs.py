@@ -1,7 +1,9 @@
-"""The summary of scripts/bench_pairs.py on synthetic pairs of runs."""
+"""The summary of scripts/bench_pairs.py on synthetic pairs of runs, and
+the byte-compiling of each checkout before the first pair."""
 
 import importlib.util
 import os
+import struct
 
 import pytest
 
@@ -77,3 +79,41 @@ def test_rows_print_and_seeds_parse(script):
     assert lines[2] == "| `ops_per_s` | 50 [50, 50] | 70 [70, 70] | 1.400 | 2/2 | yes |"
     assert script.parse_seeds("401-403") == [401, 402, 403]
     assert script.parse_seeds("7") == [7]
+
+
+def test_each_checkout_is_compiled_before_the_first_pair(script, monkeypatch, capsys):
+    events = []
+    monkeypatch.setattr(script, "compile_sources", lambda d: events.append(("compile", d)))
+
+    def run_once(checkout, workload, seed, seconds):
+        events.append(("run", checkout))
+        return {"metrics": {"ops_per_s": {"value": 1.0}}, "failed": 0, "attempted": 1,
+                "correct": True}
+
+    monkeypatch.setattr(script, "run_once", run_once)
+    assert script.main(["P", "C", "--workload", "reduce", "--seeds", "1-2",
+                        "--seconds", "1"]) == 0
+    assert events == [("compile", "P"), ("compile", "C"), ("run", "P"), ("run", "C"),
+                      ("run", "C"), ("run", "P")]
+    assert "reduce, seeds 1-2, 1 s runs, 2 pairs" in capsys.readouterr().out
+
+
+def test_stale_bytecode_is_rewritten_without_bytecode_writes(script, monkeypatch, tmp_path):
+    # A copied checkout: the .pyc records an older source mtime than the
+    # copy's, so every import would recompile the module in memory.
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    source = tmp_path / "src" / "pkg" / "mod.py"
+    source.parent.mkdir(parents=True)
+    source.write_text("X = 1\n")
+    os.utime(source, (1_000_000, 1_000_000))
+    script.compile_sources(str(tmp_path))
+    cached = importlib.util.cache_from_source(str(source))
+
+    def recorded_mtime():
+        with open(cached, "rb") as fh:
+            return struct.unpack("<I", fh.read(12)[8:12])[0]
+
+    assert recorded_mtime() == 1_000_000
+    os.utime(source, (2_000_000, 2_000_000))
+    script.compile_sources(str(tmp_path))
+    assert recorded_mtime() == 2_000_000

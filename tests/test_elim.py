@@ -1,7 +1,10 @@
 """Reduction predicates, the elimination algorithm, and certificates."""
 
 import dataclasses
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -25,7 +28,15 @@ from gradedlie import (
 )
 from gradedlie import elim
 from gradedlie.algebras import e, order_key
-from helpers import P, WITT, WITT_POS, random_poly
+from helpers import P, WITT, WITT_POS, random_fraction, random_poly
+from poly_reference import (
+    reference_mul,
+    reference_power,
+    reference_quotient,
+    reference_substitution,
+)
+
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
 
 
 def upper_bound_key(alg, g, lam):
@@ -305,3 +316,89 @@ class TestCertificates:
             partial_reduce(
                 WITT_POS, P(WITT_POS, "e[4]"), (P(WITT_POS, "e[1]^2"),), max_steps=0
             )
+
+
+class TestEliminationStep:
+    """One _eliminate step against the textbook sums of the substitution:
+    the new g is sum_j h_j s^(r-j) b^j, and the stored coefficient is
+    sum_(j>=1) h_j s^(r-j) sum_(u<j) (s*v)^u b^(j-1-u), over alpha."""
+
+    V = e(3)
+    POOL = [e(n) for n in (1, 2, 4, 5)]
+
+    def shapes(self, rng, r):
+        """Sets of powers of v in g, each with top power r: the top power
+        alone, every power, and a random set with a gap."""
+        yield {r}
+        yield set(range(r + 1))
+        if r >= 2:
+            gapped = {j for j in range(r) if rng.random() < 0.5} | {r}
+            gapped.discard(rng.randrange(r))
+            yield gapped
+
+    def cases(self):
+        """(parts of g, s, alpha, h, sign); alpha alternates between a
+        Fraction and an int, and one case has h = 0, so b = 0."""
+        rng = random.Random(41)
+
+        def poly():
+            return random_poly(WITT_POS, rng, pool=self.POOL, max_support=2, max_exp=2,
+                               max_vars=2)
+
+        for r in range(1, 7):
+            for k, powers in enumerate(self.shapes(rng, r)):
+                parts = {j: poly() for j in sorted(powers)}
+                alpha = random_fraction(rng) if k % 2 == 0 else rng.choice([-3, 2, 5])
+                h = Polynomial.zero(WITT_POS) if r == 3 and k == 0 else poly()
+                yield parts, poly(), alpha, h, (PLUS, MINUS)[k % 2]
+
+    def test_matches_the_textbook_sums(self):
+        count = 0
+        for parts, s, alpha, h, sign in self.cases():
+            v = Polynomial.var(WITT_POS, self.V)
+            g = Polynomial.zero(WITT_POS)
+            for j, hj in parts.items():
+                g = g + reference_mul(hj, reference_power(v, j))
+            assert g.expand_in(self.V) == parts
+            red = elim._Reducer(WITT_POS, g, (P(WITT_POS, "e[1]^2"),),
+                                elim.DEFAULT_MAX_GAP, elim.DEFAULT_MAX_STEPS)
+            red._eliminate((0, self.V, None, sign, s, alpha, h))
+            r = max(parts)
+            b = reference_mul(h, Polynomial.const(WITT_POS, Fraction(-1) / alpha))
+            sv = reference_mul(s, v)
+            coeff = reference_mul(reference_quotient(parts, s, sv, b),
+                                  Polynomial.const(WITT_POS, Fraction(1) / alpha))
+            assert red.g == reference_substitution(parts, s, b)
+            [(got, gen, dtuple, mult)] = red.terms
+            assert (got, gen, dtuple, mult) == (coeff, 0, None, reference_power(s, r))
+            assert red.exps == [[0, r, 0] if sign == PLUS else [0, 0, r]]
+            # The step's identity: s^r * g = new g + coeff * (alpha*s*v + h).
+            dtf = reference_mul(Polynomial.const(WITT_POS, alpha), sv) + h
+            assert reference_mul(mult, g) == red.g + reference_mul(got, dtf)
+            count += 1
+        assert count == 17
+
+
+class TestEliminationMemory:
+    """A step keeps a bounded number of polynomials alive, not one per
+    power of the eliminated variable: e[4]^50000 by e[1]^2 over witt+
+    reduces to zero in a few MiB."""
+
+    CHILD = """if 1:
+        import resource
+        from gradedlie import AlgebraSpec, parse_poly, partial_reduce, verify_certificate
+        alg = AlgebraSpec("WittPositive")
+        rem, cert = partial_reduce(alg, parse_poly(alg, "e[4]^50000"),
+                                   (parse_poly(alg, "e[1]^2"),))
+        print(rem.is_zero(), verify_certificate(alg, cert),
+              resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+    """
+
+    def test_a_high_power_step_stays_small(self):
+        code = "import sys; sys.path.insert(0, %r)\n" % SRC + self.CHILD
+        proc = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True,
+                              text=True, timeout=30)
+        assert proc.returncode == 0, proc.stderr
+        zero, holds, maxrss_kib = proc.stdout.split()
+        assert (zero, holds) == ("True", "True")
+        assert int(maxrss_kib) / 1024 < 100
