@@ -84,14 +84,12 @@ def _check_generators(alg, lam):
 
 def is_partially_reduced(alg, g, lam, max_gap=DEFAULT_MAX_GAP):
     """No variable of g lies in L+(l+(f)) or L-(l-(f)) for f in lam."""
-    lam = _check_generators(alg, lam)
-    for v in g.variables():
-        for f in lam:
-            if is_member(alg, f.leader(PLUS), v, PLUS, max_gap):
-                return False
-            if is_member(alg, f.leader(MINUS), v, MINUS, max_gap):
-                return False
-    return True
+    leaders = [(f.leader(PLUS), f.leader(MINUS)) for f in _check_generators(alg, lam)]
+    return not any(
+        is_member(alg, lp, v, PLUS, max_gap) or is_member(alg, lm, v, MINUS, max_gap)
+        for v in g.variables()
+        for lp, lm in leaders
+    )
 
 
 def is_reduced(alg, g, lam, max_gap=DEFAULT_MAX_GAP):
@@ -208,32 +206,29 @@ class _Reducer:
         self.terms.append((q * (Fraction(1) / alpha), fi, t, spow))
         self.g = p
 
-    def run_pass(self, sign):
-        """Eliminate offenders of one sign until none remain."""
-        acted = False
-        last_key = None
-        while True:
-            if self.g.is_constant():
-                return acted
-            step = self._find_offender(sign)
-            if step is None:
-                return acted
-            self._tick()
-            key = order_key(self.alg, step[1])
-            if last_key is not None:
-                moved = key < last_key if sign == PLUS else key > last_key
-                if not moved:
-                    raise NonTermination("offending variable failed to move")
-            last_key = key
-            self._eliminate(step)
-            acted = True
-
     def partial_fixpoint(self):
-        while True:
-            acted = self.run_pass(PLUS)
-            acted = self.run_pass(MINUS) or acted
-            if not acted:
-                return
+        """The elimination loop: rounds of a "+" pass, which eliminates the
+        largest offender first, then a "-" pass, which eliminates the
+        smallest first, until a round finds no offender.  Within a pass
+        each offender must lie strictly past the one before it."""
+        acted = True
+        while acted:
+            acted = False
+            for sign in (PLUS, MINUS):
+                last_key = None
+                while not self.g.is_constant():
+                    step = self._find_offender(sign)
+                    if step is None:
+                        break
+                    self._tick()
+                    key = order_key(self.alg, step[1])
+                    if last_key is not None and (
+                        key >= last_key if sign == PLUS else key <= last_key
+                    ):
+                        raise NonTermination("offending variable failed to move")
+                    last_key = key
+                    self._eliminate(step)
+                    acted = True
 
     def pseudo_divide(self, fi):
         """Clear powers of the generator's upper leader down below its
@@ -289,10 +284,11 @@ def full_reduce(alg, g, lam, max_gap=DEFAULT_MAX_GAP, max_steps=DEFAULT_MAX_STEP
     if not is_reduced_sequence(alg, lam, max_gap):
         raise NotReducedSequence("generators do not form a reduced sequence")
     red = _Reducer(alg, g, lam, max_gap, max_steps)
-    order = sorted(range(len(lam)), key=lambda i: lam[i].rank(PLUS), reverse=True)
+    red.partial_fixpoint()
     for _ in range(len(lam) + 2):
-        red.partial_fixpoint()
-        for fi in order:
+        # Upper ranks in a reduced sequence are distinct: equal leaders and
+        # leader degrees would break is_reduced's degree condition.
+        for fi in reversed(red.order):
             red.pseudo_divide(fi)
             red.partial_fixpoint()
         # The fixpoint has just found no witness for any variable of g and

@@ -3,8 +3,8 @@
 import random
 from fractions import Fraction
 
-from gradedlie import AlgebraSpec, Polynomial, parse_poly
-from gradedlie.algebras import elements_in_window
+from gradedlie import AlgebraSpec, Polynomial, is_reduced_sequence, parse_poly
+from gradedlie.algebras import e, elements_in_window
 
 WITT = AlgebraSpec("Witt")
 WITT_POS = AlgebraSpec("WittPositive")
@@ -73,3 +73,30 @@ def random_poly(alg, rng, pool=None, max_support=5, max_exp=3, max_vars=3):
     if out.is_zero():
         out = Polynomial.var(alg, rng.choice(pool))
     return out
+
+
+def random_reduced_sequence(rng):
+    """A random sequence over witt+ of one generator with upper leader e[1]
+    and at most one with upper leader e[2], or None when the draw is not a
+    reduced sequence."""
+    f1 = Polynomial.zero(WITT_POS)
+    d1 = rng.randint(2, 3)
+    for j in range(d1 + 1):
+        if j == d1 or rng.random() < 0.6:
+            c = random_fraction(rng) if j < d1 else Fraction(rng.choice([1, 2, 3]))
+            f1 = f1 + Polynomial.var(WITT_POS, e(1), c=c, exp=j) if j else f1 + Polynomial.const(WITT_POS, c)
+    lam = [f1]
+    if rng.random() < 0.6:
+        d2 = rng.randint(1, 2)
+        f2 = Polynomial.var(WITT_POS, e(2), exp=d2)
+        for _ in range(rng.randint(0, 2)):
+            term = Polynomial.const(WITT_POS, random_fraction(rng))
+            term = term * Polynomial.var(WITT_POS, e(1), exp=rng.randint(0, d1 - 1))
+            if rng.random() < 0.5:
+                term = term * Polynomial.var(WITT_POS, e(2), exp=rng.randint(0, d2 - 1))
+            f2 = f2 + term
+        lam.append(f2)
+    lam = tuple(f for f in lam if not f.is_constant())
+    if not lam or not is_reduced_sequence(WITT_POS, lam):
+        return None
+    return lam

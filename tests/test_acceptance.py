@@ -9,8 +9,6 @@ import json
 import random
 import time
 
-from fractions import Fraction
-
 import pytest
 
 from gradedlie import (
@@ -29,7 +27,6 @@ from gradedlie import (
     full_reduce,
     is_partially_reduced,
     is_reduced,
-    is_reduced_sequence,
     jacobi_residual,
     parse_poly,
     partial_reduce,
@@ -62,6 +59,7 @@ from helpers import (
     WITT_POS,
     random_fraction,
     random_poly,
+    random_reduced_sequence,
 )
 
 # Certificates produced while checking the reduction contract, reused by
@@ -170,30 +168,6 @@ def test_criterion_03_bracket_leader_decomposition():
     assert checked > 1000
 
 
-def _random_reduced_sequence(rng):
-    f1 = Polynomial.zero(WITT_POS)
-    d1 = rng.randint(2, 3)
-    for j in range(d1 + 1):
-        if j == d1 or rng.random() < 0.6:
-            c = random_fraction(rng) if j < d1 else Fraction(rng.choice([1, 2, 3]))
-            f1 = f1 + Polynomial.var(WITT_POS, e(1), c=c, exp=j) if j else f1 + Polynomial.const(WITT_POS, c)
-    lam = [f1]
-    if rng.random() < 0.6:
-        d2 = rng.randint(1, 2)
-        f2 = Polynomial.var(WITT_POS, e(2), exp=d2)
-        for _ in range(rng.randint(0, 2)):
-            term = Polynomial.const(WITT_POS, random_fraction(rng))
-            term = term * Polynomial.var(WITT_POS, e(1), exp=rng.randint(0, d1 - 1))
-            if rng.random() < 0.5:
-                term = term * Polynomial.var(WITT_POS, e(2), exp=rng.randint(0, d2 - 1))
-            f2 = f2 + term
-        lam.append(f2)
-    lam = tuple(f for f in lam if not f.is_constant())
-    if not lam or not is_reduced_sequence(WITT_POS, lam):
-        return None
-    return lam
-
-
 def _leader_window_ok(alg, g, lam, remainder):
     if remainder.is_constant():
         return True
@@ -229,7 +203,7 @@ def test_criterion_04_reduction_contract():
         GENERATED_CERTIFICATES.append(cert)
         done_partial += 1
     while done_full < 250:
-        lam = _random_reduced_sequence(rng)
+        lam = random_reduced_sequence(rng)
         if lam is None:
             continue
         g = random_poly(WITT_POS, rng, pool=pool, max_support=4, max_exp=2)

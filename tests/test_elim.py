@@ -28,7 +28,7 @@ from gradedlie import (
 )
 from gradedlie import elim
 from gradedlie.algebras import e, order_key
-from helpers import P, WITT, WITT_POS, random_fraction, random_poly
+from helpers import P, WITT, WITT_POS, random_fraction, random_poly, random_reduced_sequence
 from poly_reference import (
     reference_mul,
     reference_power,
@@ -74,6 +74,16 @@ class TestReducedPredicates:
         assert is_reduced_sequence(
             WITT_POS, (P(WITT_POS, "e[1]^2"), P(WITT_POS, "e[4]"))
         ) is False
+
+    def test_leaders_are_read_once_per_call(self, monkeypatch):
+        calls = []
+        leader = Polynomial.leader
+        monkeypatch.setattr(Polynomial, "leader",
+                            lambda self, sign: calls.append(sign) or leader(self, sign))
+        lam = (P(WITT_POS, "e[1]^2"), P(WITT_POS, "e[2]^2 + e[1]"))
+        g = P(WITT_POS, "e[1]*e[2] + e[1]^3")
+        assert is_partially_reduced(WITT_POS, g, lam) is True
+        assert len(calls) == 2 * len(lam)
 
     def test_constant_generator_rejected(self):
         with pytest.raises(ValueError):
@@ -192,6 +202,37 @@ class TestFullReduce:
                 WITT_POS,
                 P(WITT_POS, "e[3]"),
                 (P(WITT_POS, "e[1]^2"), P(WITT_POS, "e[4]")),
+            )
+
+    def test_reduced_sequences_have_distinct_upper_ranks(self):
+        # full_reduce walks the generators by descending upper rank, which
+        # has no ties to break in a reduced sequence: equal leaders and
+        # leader degrees fail is_reduced's degree condition.
+        rng = random.Random(37)
+        pool = [e(1), e(2)]
+        accepted = tied = 0
+        for _ in range(200):
+            candidates = [random_reduced_sequence(rng), tuple(
+                random_poly(WITT_POS, rng, pool=pool, max_support=2, max_exp=2)
+                for _ in range(rng.randint(2, 3))
+            )]
+            for lam in candidates:
+                if lam is None or any(f.is_constant() for f in lam):
+                    continue
+                ranks = [f.rank(PLUS) for f in lam]
+                if len(set(ranks)) < len(ranks):
+                    tied += 1
+                if is_reduced_sequence(WITT_POS, lam):
+                    accepted += 1
+                    assert len(set(ranks)) == len(ranks), lam
+        assert accepted > 50 and tied > 10
+
+    def test_tied_upper_ranks_rejected(self):
+        with pytest.raises(NotReducedSequence):
+            full_reduce(
+                WITT_POS,
+                P(WITT_POS, "e[4]"),
+                (P(WITT_POS, "e[1]^2"), P(WITT_POS, "2*e[1]^2 + e[1]")),
             )
 
     def test_window_bounds(self):
@@ -316,6 +357,54 @@ class TestCertificates:
             partial_reduce(
                 WITT_POS, P(WITT_POS, "e[4]"), (P(WITT_POS, "e[1]^2"),), max_steps=0
             )
+
+
+class TestMovingOffenderGuard:
+    """Within one pass each offender must lie strictly past the previous
+    one: below it in the "+" pass, above it in the "-" pass."""
+
+    @pytest.mark.parametrize("alg, g, f", [
+        (WITT_POS, "e[4]", "e[1]^2"),  # the "+" pass
+        (WITT, "e[-4]", "e[-1]^2"),  # the "-" pass
+    ])
+    def test_an_offender_that_stays_is_refused(self, monkeypatch, alg, g, f):
+        monkeypatch.setattr(elim._Reducer, "_eliminate", lambda self, step: None)
+        with pytest.raises(NonTermination, match="offending variable failed to move"):
+            partial_reduce(alg, P(alg, g), (P(alg, f),))
+
+    def scripted(self, monkeypatch, script):
+        """A reducer of e[5] whose offenders of each sign are read from
+        script, where None ends a pass; steps change nothing."""
+        script = {sign: list(found) for sign, found in script.items()}
+
+        def find(self, sign):
+            v = script[sign].pop(0) if script[sign] else None
+            return None if v is None else (0, e(v), None, sign, None, None, None)
+
+        monkeypatch.setattr(elim._Reducer, "_find_offender", find)
+        monkeypatch.setattr(elim._Reducer, "_eliminate", lambda self, step: None)
+        red = elim._Reducer(WITT_POS, P(WITT_POS, "e[5]"), (P(WITT_POS, "e[1]^2"),),
+                            elim.DEFAULT_MAX_GAP, elim.DEFAULT_MAX_STEPS)
+        red.partial_fixpoint()
+        return red.steps
+
+    @pytest.mark.parametrize("script, steps", [
+        ({PLUS: [4, 3, None, 4], MINUS: []}, 3),
+        ({PLUS: [], MINUS: [3, 4, None, 3]}, 3),
+        ({PLUS: [4], MINUS: [4]}, 2),
+    ])
+    def test_moves_in_the_direction_of_its_pass(self, monkeypatch, script, steps):
+        assert self.scripted(monkeypatch, script) == steps
+
+    @pytest.mark.parametrize("script", [
+        {PLUS: [3, 4], MINUS: []},
+        {PLUS: [3, 3], MINUS: []},
+        {PLUS: [], MINUS: [4, 3]},
+        {PLUS: [], MINUS: [3, 3]},
+    ])
+    def test_moves_against_its_pass_are_refused(self, monkeypatch, script):
+        with pytest.raises(NonTermination, match="offending variable failed to move"):
+            self.scripted(monkeypatch, script)
 
 
 class TestEliminationStep:
