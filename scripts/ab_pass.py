@@ -33,17 +33,12 @@ import tempfile
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+sys.path[:0] = [os.path.join(ROOT, "scripts"), os.path.join(ROOT, "perfbench")]
 
+from bench_pairs import parse_seeds  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 SIDES = ("parent", "change")
-
-
-def parse_seeds(text):
-    """The seeds of a range '1-5', or of a single seed '1'."""
-    lo, _, hi = text.partition("-")
-    return list(range(int(lo), int(hi or lo) + 1))
 
 
 def load_mains(checkouts, tmp):
@@ -78,13 +73,16 @@ def main(argv=None):
     ap.add_argument("parent", help="checkout directory of the parent commit")
     ap.add_argument("change", help="checkout directory of the change")
     ap.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
-    ap.add_argument("--seeds", required=True, help="a range, e.g. 1-5")
+    ap.add_argument("--seeds", required=True, help="seeds and ranges, e.g. 1-5")
     ap.add_argument("--reps", type=int, default=10)
     args = ap.parse_args(argv)
     if args.reps < 1:
         ap.error("--reps must be positive")
-    commands = [op.argv for seed in parse_seeds(args.seeds)
-                for op in WORKLOADS[args.workload](seed)]
+    try:
+        seeds = parse_seeds(args.seeds)
+    except ValueError as exc:
+        ap.error(str(exc))
+    commands = [op.argv for seed in seeds for op in WORKLOADS[args.workload](seed)]
 
     with tempfile.TemporaryDirectory() as tmp:
         mains = load_mains((args.parent, args.change), tmp)

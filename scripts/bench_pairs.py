@@ -88,9 +88,21 @@ def run_once(checkout, workload, seed, seconds):
 
 
 def parse_seeds(text):
-    """The seeds of a range '401-410', or of a single seed '401'."""
-    lo, _, hi = text.partition("-")
-    return list(range(int(lo), int(hi or lo) + 1))
+    """The seeds of a comma-separated list of seeds and ranges, e.g. '1,2,3',
+    '401-410' or '1-3,7'.  A malformed item, or a range whose end is below
+    its start, raises ValueError."""
+    seeds = []
+    for item in text.split(","):
+        lo, dash, hi = item.partition("-")
+        try:
+            lo = int(lo)
+            hi = int(hi) if dash else lo
+        except ValueError:
+            raise ValueError("--seeds: %r is not a seed or a range lo-hi" % item) from None
+        if hi < lo:
+            raise ValueError("--seeds: the range %r is empty" % item)
+        seeds += range(lo, hi + 1)
+    return seeds
 
 
 def main(argv=None):
@@ -98,9 +110,13 @@ def main(argv=None):
     ap.add_argument("parent", help="checkout directory of the parent commit")
     ap.add_argument("change", help="checkout directory of the change")
     ap.add_argument("--workload", required=True)
-    ap.add_argument("--seeds", required=True, help="a range, e.g. 401-410")
+    ap.add_argument("--seeds", required=True, help="seeds and ranges, e.g. 401-410")
     ap.add_argument("--seconds", type=float, required=True)
     args = ap.parse_args(argv)
+    try:
+        seeds = parse_seeds(args.seeds)
+    except ValueError as exc:
+        ap.error(str(exc))
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         bench = json.load(fh)
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
@@ -108,7 +124,7 @@ def main(argv=None):
     for checkout in (args.parent, args.change):
         compile_sources(checkout)
     pairs, failed, attempted, wrong = [], [0, 0], [0, 0], [False, False]
-    for k, seed in enumerate(parse_seeds(args.seeds)):
+    for k, seed in enumerate(seeds):
         sides = [(0, args.parent), (1, args.change)]
         got = {}
         for side, checkout in (sides if k % 2 == 0 else sides[::-1]):

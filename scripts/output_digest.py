@@ -18,8 +18,10 @@ import os
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
+sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "scripts"),
+                os.path.join(ROOT, "perfbench")]
 
+from bench_pairs import parse_seeds  # noqa: E402
 from gradedlie.cli import main as cli_main  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
@@ -43,9 +45,12 @@ def digest(workload, seeds):
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
-    ap.add_argument("--seeds", required=True, help="comma-separated, e.g. 1,2,3")
+    ap.add_argument("--seeds", required=True, help="seeds and ranges, e.g. 1,2,3 or 1-3")
     args = ap.parse_args(argv)
-    seeds = [int(s) for s in args.seeds.split(",")]
+    try:
+        seeds = parse_seeds(args.seeds)
+    except ValueError as exc:
+        ap.error(str(exc))
     count, hexdigest = digest(args.workload, seeds)
     print("%s seeds %s: %d commands, sha256 %s" % (args.workload, args.seeds, count, hexdigest))
     return 0

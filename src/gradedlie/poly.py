@@ -1,10 +1,16 @@
 """Sparse polynomials over Q in the basis elements of a graded Lie algebra.
 
 A monomial is a tuple of (basis element, positive exponent) pairs sorted
-ascending by the algebra's basis order; the empty tuple is the constant
-monomial.  A polynomial stores {monomial: coefficient} with no zero
-values plus the algebra it lives over; a coefficient is an int while it is
-integral, else a Fraction in lowest terms.  Sums and scalar multiples
+ascending by the elements' own tuple order, which is total on each family
+(the kind tag comes first, and the fields of one kind have one type); the
+empty tuple is the constant monomial.  No product or bracket reads the
+algebra's basis order: only leaders read it (Polynomial.leader and rank
+here, the decisions in leaders.py and the reducer in elim.py), and
+textio.print_poly, which prints each monomial's factors in basis order.
+
+A polynomial stores {monomial: coefficient} with no zero values plus the
+algebra it lives over; a coefficient is an int while it is integral, else
+a Fraction in lowest terms.  Sums and scalar multiples
 accumulate through algebras.lie_add.  Products and Poisson brackets are
 accumulated in plain ints: each operand's coefficients (and each
 structure constant used) are first cleared to integer numerators over one
@@ -62,7 +68,7 @@ def _check_same(alg, x):
         raise AlgebraMismatch("mixed algebras: %r vs %r" % (alg, x.alg))
 
 
-def mono(alg, pairs):
+def mono(pairs):
     """Canonical monomial from (element, exponent) pairs."""
     merged = {}
     for b, x in pairs:
@@ -70,11 +76,11 @@ def mono(alg, pairs):
             merged[b] = merged.get(b, 0) + x
     if any(x < 0 for x in merged.values()):
         raise ValueError("negative exponent in monomial")
-    return tuple(sorted(merged.items(), key=lambda p: order_key(alg, p[0])))
+    return tuple(sorted(merged.items()))
 
 
-def _merge(m1, m2, key):
-    """The product of two monomials sorted by the order keys in `key`."""
+def _merge(m1, m2):
+    """The product of two monomials."""
     if not m1:
         return m2
     if not m2:
@@ -89,26 +95,13 @@ def _merge(m1, m2, key):
             out.append((b1, p1[1] + p2[1]))
             i += 1
             j += 1
-        elif key[b1] < key[b2]:
+        elif b1 < b2:
             out.append(p1)
             i += 1
         else:
             out.append(p2)
             j += 1
     return tuple(out) + m1[i:] + m2[j:]
-
-
-def _times(m, e, key):
-    """The product of the monomial m and the basis element e, sorted by the
-    order keys in `key`."""
-    k = key[e]
-    for i, p in enumerate(m):
-        b = p[0]
-        if b == e:
-            return m[:i] + ((e, p[1] + 1),) + m[i + 1 :]
-        if key[b] > k:
-            return m[:i] + ((e, 1),) + m[i:]
-    return m + ((e, 1),)
 
 
 def _common_den(values):
@@ -140,16 +133,15 @@ def _over(acc, den):
     return {k: Fraction(c, den) if c % den else c // den for k, c in acc.items() if c}
 
 
-def _packed_product(alg, t1, t2, den):
+def _packed_product(t1, t2, den):
     """{monomial: coefficient} of the product of the int-coefficient terms
     t1 and t2, divided by den.  Each monomial is packed into one int, with
-    one bit field per variable of either operand, in basis order from the
-    lowest bits up, each field wide enough for the largest exponent sum,
+    one bit field per variable of either operand, in monomial order from
+    the lowest bits up, each field wide enough for the largest exponent sum,
     so a product of monomials is an int sum with no carry between fields.
     Each output code is decoded back to its monomial in the same pass that
     divides its coefficient by den."""
-    variables = sorted({b for t in (t1, t2) for m in t for b, _ in m},
-                       key=lambda b: order_key(alg, b))
+    variables = sorted({b for t in (t1, t2) for m in t for b, _ in m})
     top = (max(x for m in t1 for _, x in m)
            + max(x for m in t2 for _, x in m))
     width = top.bit_length()
@@ -198,12 +190,12 @@ class Polynomial:
     @classmethod
     def var(cls, alg, b, c=1, exp=1):
         validate_element(alg, b)
-        return cls(alg, {mono(alg, [(b, exp)]): c})
+        return cls(alg, {mono([(b, exp)]): c})
 
     @classmethod
     def from_lie(cls, alg, v):
         """Degree-one polynomial from a Lie element."""
-        return cls(alg, {mono(alg, [(b, 1)]): c for b, c in v.items()})
+        return cls(alg, {mono([(b, 1)]): c for b, c in v.items()})
 
     def is_zero(self):
         return not self.terms
@@ -265,11 +257,10 @@ class Polynomial:
         t1 = _numerators(self.terms, d1)
         t2 = _numerators(other.terms, d2)
         if len(t1) > 1 and len(t2) > 1:
-            return self._with_terms(_packed_product(self.alg, t1, t2, d1 * d2))
+            return self._with_terms(_packed_product(t1, t2, d1 * d2))
         # One operand has at most one term, so distinct term pairs give
         # distinct monomials: no pair adds into another's.
-        key = {b: order_key(self.alg, b) for b in self.variables() | other.variables()}
-        acc = {_merge(m1, m2, key): c1 * c2
+        acc = {_merge(m1, m2): c1 * c2
                for m1, c1 in t1.items() for m2, c2 in t2.items()}
         return self._with_terms(_over(acc, d1 * d2))
 
@@ -354,43 +345,39 @@ class Polynomial:
         return (order_key(self.alg, l), self.degree_in(l))
 
 
-def _bracket_table(alg, variables, others, cofactor_vars):
-    """(table, den, key) for the brackets [a, b], a in variables and b in
-    others.  table maps each (a, b) with a nonzero bracket to {e: n}: [a, b]
+def _bracket_table(alg, variables, others):
+    """(table, den) for the brackets [a, b], a in variables and b in others.
+    table maps each (a, b) with a nonzero bracket to {((e, 1),): n}: [a, b]
     is the sum of n * e / den, with int numerators n over one common
-    denominator den.  key holds the order keys of variables, of
-    cofactor_vars and of the elements of those brackets: all that
-    _bracket_into orders, for cofactors in the variables cofactor_vars."""
+    denominator den, each element e stored as its one-factor monomial."""
     table = {}
     den = 1
-    elements = {*variables, *cofactor_vars}
     for a in variables:
         for b in others:
             br = bracket_basis(alg, a, b)
             if br:
-                table[a, b] = br
+                table[a, b] = {((e, 1),): n for e, n in br.items()}
                 den = lcm(den, _common_den(br.values()))
-                elements.update(br)
     if den != 1:
         table = {ab: _numerators(br, den) for ab, br in table.items()}
-    return table, den, {e: order_key(alg, e) for e in elements}
+    return table, den
 
 
-def _bracket_into(acc, terms, b, cofactor, table, key):
+def _bracket_into(acc, terms, b, cofactor, table):
     """Add cofactor * {f, b} into the int accumulator acc, for terms the
     (monomial, int coefficient) pairs of f: each term c*m of f and each
-    factor a^x of m add x*c * (m/a) * cofactor * [a, b].  table and key
-    come from _bracket_table, and cofactor is a monomial."""
+    factor a^x of m add x*c * (m/a) * cofactor * [a, b].  table comes from
+    _bracket_table, and cofactor is a monomial."""
     get = acc.get
     for m, c in terms:
         for i, (a, x) in enumerate(m):
             br = table.get((a, b))
             if br is not None:
                 r = m[:i] + ((a, x - 1),) + m[i + 1 :] if x > 1 else m[:i] + m[i + 1 :]
-                r = _merge(r, cofactor, key)
+                r = _merge(r, cofactor)
                 cx = c * x
                 for e, n in br.items():
-                    mm = _times(r, e, key)
+                    mm = _merge(r, e)
                     acc[mm] = get(mm, 0) + cx * n
 
 
@@ -398,8 +385,7 @@ def poisson_bracket(f, g):
     """{f, g}: the biderivation extending the Lie bracket.  Each term d*n of
     g and each factor b^y of n add d*y * (n/b) * {f, b}."""
     _check_same(f.alg, g)
-    vg = g.variables()
-    table, den, key = _bracket_table(f.alg, f.variables(), vg, vg)
+    table, den = _bracket_table(f.alg, f.variables(), g.variables())
     df = _common_den(f.terms.values())
     dg = _common_den(g.terms.values())
     tf = _numerators(f.terms, df).items()
@@ -408,7 +394,7 @@ def poisson_bracket(f, g):
         for i, (b, y) in enumerate(n):
             cofactor = n[:i] + ((b, y - 1),) + n[i + 1 :] if y > 1 else n[:i] + n[i + 1 :]
             dy = d * y
-            _bracket_into(acc, [(m, c * dy) for m, c in tf], b, cofactor, table, key)
+            _bracket_into(acc, [(m, c * dy) for m, c in tf], b, cofactor, table)
     return f._with_terms(_over(acc, df * dg * den))
 
 
@@ -462,10 +448,10 @@ def _trusted_dtuple(alg, entries, sign):
 
 def pb_with_var(f, b):
     """{f, b} for a single basis element b."""
-    table, den, key = _bracket_table(f.alg, f.variables(), (b,), ())
+    table, den = _bracket_table(f.alg, f.variables(), (b,))
     df = _common_den(f.terms.values())
     acc = {}
-    _bracket_into(acc, _numerators(f.terms, df).items(), b, (), table, key)
+    _bracket_into(acc, _numerators(f.terms, df).items(), b, (), table)
     return f._with_terms(_over(acc, df * den))
 
 

@@ -11,9 +11,12 @@ Surface syntax, whitespace-insensitive:
                DK[i,...], E[p], F[p], H[p], X[n], Y
 
 element_to_str prints a name from the same grammar, so printing then
-parsing a name is the identity.  The printer emits terms in descending
-monomial order with coefficients in lowest terms, so printing then
-parsing a polynomial is the identity too.
+parsing a name is the identity.  The parser adds every signed term into
+one dict, so reading a polynomial is linear in its length.  The printer
+is the one place that puts a monomial's factors in basis order (largest
+first); it emits terms in descending monomial order under that order,
+with coefficients in lowest terms, so printing then parsing a polynomial
+is the identity too.
 """
 
 from __future__ import annotations
@@ -151,6 +154,7 @@ class _Parser:
         return 1, b, exp
 
     def term(self):
+        """(monomial, coefficient)."""
         c, b, exp = self.factor()
         pairs = [] if b is None else [(b, exp)]
         while self.peek() == "*":
@@ -159,21 +163,21 @@ class _Parser:
             c *= c2
             if b2 is not None:
                 pairs.append((b2, e2))
-        return Polynomial(self.alg, {mono(self.alg, pairs): c})
+        return mono(pairs), c
 
     def poly(self):
-        sign = 1
-        if self.peek() in ("+", "-"):
-            tok, _ = self.take()
-            sign = -1 if tok == "-" else 1
-        out = self.term() * sign
-        while self.peek() in ("+", "-"):
-            tok, _ = self.take()
-            sign = -1 if tok == "-" else 1
-            out = out + self.term() * sign
+        """The sum of the signed terms, added up in one dict."""
+        terms = {}
+        sign = self.take()[0] if self.peek() in ("+", "-") else "+"
+        while True:
+            m, c = self.term()
+            terms[m] = terms.get(m, 0) + (-c if sign == "-" else c)
+            if self.peek() not in ("+", "-"):
+                break
+            sign, _ = self.take()
         if self.i < len(self.toks):
             raise ParseError("trailing input %r" % self.peek(), self.pos())
-        return out
+        return Polynomial(self.alg, terms)
 
 
 def parse_poly(alg, s):
@@ -194,21 +198,22 @@ def parse_element(alg, s):
 
 
 def print_poly(f):
-    """Canonical form: descending monomial order, lowest-terms coefficients."""
+    """Canonical form: each monomial's factors in descending basis order,
+    terms in descending monomial order, lowest-terms coefficients."""
     if f.is_zero():
         return "0"
     alg = f.alg
     variables = f.variables()
     key = {b: order_key(alg, b) for b in variables}
     name = {b: element_to_str(alg, b) for b in variables}
-    items = sorted(
-        f.terms.items(),
-        key=lambda it: tuple([(key[b], x) for b, x in reversed(it[0])]),
-        reverse=True,
-    )
+    rows = []
+    for m, c in f.terms.items():
+        factors = sorted(m, key=lambda p: key[p[0]], reverse=True)
+        rows.append(([(key[b], x) for b, x in factors], factors, c))
+    rows.sort(key=lambda row: row[0], reverse=True)
     parts = []
-    for m, c in items:
-        body = "*".join([name[b] + ("^%d" % x if x > 1 else "") for b, x in reversed(m)])
+    for _, factors, c in rows:
+        body = "*".join([name[b] + ("^%d" % x if x > 1 else "") for b, x in factors])
         mag = abs(c)
         if not body:
             chunk = str(mag)

@@ -21,7 +21,7 @@ def reference_mul(f, g):
     t = {}
     for m1, c1 in f.terms.items():
         for m2, c2 in g.terms.items():
-            m = mono(f.alg, m1 + m2)
+            m = mono(m1 + m2)
             t[m] = t.get(m, 0) + Fraction(c1) * Fraction(c2)
     return Polynomial(f.alg, t)
 

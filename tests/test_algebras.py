@@ -208,6 +208,7 @@ class TestOrder:
         pool = window_basis(S2)
         assert WINDOWS[S2] == WINDOWS[H2]
         assert [to_h(b) for b in pool] == window_basis(H2)
+        assert all(degree(H2, to_h(b)) == degree(S2, b) for b in pool)
         for a in pool:
             for b in pool:
                 image = {to_h(c) for c in bracket_basis(S2, a, b)}
@@ -229,6 +230,13 @@ class TestOrder:
                     c = compare_basis(alg, a, b)
                     assert c == -compare_basis(alg, b, a)
                     assert (c == 0) == (a == b)
+
+    def test_plain_tuple_order_is_total_on_each_family(self):
+        # Monomials sort their factors by this order (poly.mono), so it
+        # must compare any two elements of one family.
+        for alg in ALL_ALGEBRAS + (S3, H4):
+            pool = window_basis(alg)
+            assert len(set(sorted(pool))) == len(pool)
 
 
 class TestBracket:
@@ -347,6 +355,91 @@ class TestEnumeration:
             if floor is not None:
                 assert (elements_in_window(alg, -10**12, floor + 1)
                         == elements_in_window(alg, floor, floor + 1))
+
+
+def _unit(n, k):
+    return tuple(int(j == k - 1) for j in range(n))
+
+
+def _minus(i, *units):
+    return tuple(a - sum(u[j] for u in units) for j, a in enumerate(i))
+
+
+def _halves(i, m, combine=lambda a, b: a - b):
+    """(combine(i_l, i_(m+l)) for l <= m)."""
+    return tuple(combine(i[l], i[m + l]) for l in range(m))
+
+
+def multidegree(alg, b):
+    """The Cartan types' grading finer than the degree: x^i d_k has
+    i - 1_k in W_n and S_n, D_H(x^i) has (i_l - i_(m+l))_l and |i| - 2 in
+    H_2m, D_K(x^i) has (i_l - i_(m+l))_l and its degree in K_(2m+1); every
+    other element has its degree alone."""
+    kind = b[0]
+    if kind == "w":
+        return _minus(b[1], _unit(alg.n, b[2]))
+    if kind == "sa":
+        return _minus(b[1], _unit(alg.n, 1))
+    if kind == "sb":
+        return _minus(b[1], _unit(alg.n, 1), _unit(alg.n, b[2]))
+    if kind == "dh":
+        return _halves(b[1], alg.n // 2) + (sum(b[1]) - 2,)
+    if kind == "dk":
+        return _halves(b[1], alg.n // 2) + (degree(alg, b),)
+    return (degree(alg, b),)
+
+
+def grading_violations(alg, window, grading):
+    """(terms whose grading is not the sum of their bracket operands',
+    terms checked) over every bracket of two elements of the window."""
+    pool = elements_in_window(alg, *window)
+    of = {b: grading(alg, b) for b in pool}
+    bad = terms = 0
+    for a in pool:
+        for b in pool:
+            want = tuple(u + v for u, v in zip(of[a], of[b]))
+            for c in bracket_basis(alg, a, b):
+                terms += 1
+                bad += grading(alg, c) != want
+    return bad, terms
+
+
+MULTIGRADED_WINDOWS = [
+    ("cartan-w:2", (-1, 3)), ("cartan-w:3", (-1, 2)), ("special-s:2", (-1, 3)),
+    ("special-s:3", (-1, 2)), ("hamiltonian:2", (-1, 3)), ("hamiltonian:4", (-1, 1)),
+    ("contact:3", (-2, 2)), ("contact:5", (-2, 1)),
+]
+
+
+def _w_without_unit(alg, b):
+    return b[1] if b[0] == "w" else multidegree(alg, b)
+
+
+def _s_without_unit_k(alg, b):
+    return _minus(b[1], _unit(alg.n, 1)) if b[0] == "sb" else multidegree(alg, b)
+
+
+def _h_with_a_sum(alg, b):
+    return _halves(b[1], alg.n // 2, int.__add__) + (sum(b[1]) - 2,)
+
+
+def _k_with_a_sum(alg, b):
+    return _halves(b[1], alg.n // 2, int.__add__) + (degree(alg, b),)
+
+
+class TestMultigrading:
+    @pytest.mark.parametrize("name, window", MULTIGRADED_WINDOWS + [
+        ("witt", (-5, 5)), ("virasoro", (-5, 5)), ("loop-sl2", (-5, 5)),
+    ])
+    def test_brackets_are_additive(self, name, window):
+        bad, terms = grading_violations(parse_algebra(name), window, multidegree)
+        assert terms and bad == 0
+
+    @pytest.mark.parametrize("name, window", MULTIGRADED_WINDOWS)
+    def test_a_grading_with_one_part_wrong_fails(self, name, window):
+        wrong = {"cartan-w": _w_without_unit, "special-s": _s_without_unit_k,
+                 "hamiltonian": _h_with_a_sum, "contact": _k_with_a_sum}[name.partition(":")[0]]
+        assert grading_violations(parse_algebra(name), window, wrong)[0] > 0
 
 
 class TestSnProjection:

@@ -1,5 +1,6 @@
-"""The summary of scripts/bench_pairs.py on synthetic pairs of runs, and
-the byte-compiling of each checkout before the first pair."""
+"""The summary of scripts/bench_pairs.py on synthetic pairs of runs, the
+byte-compiling of each checkout before the first pair, and the one seed
+syntax that it shares with ab_pass.py and output_digest.py."""
 
 import importlib.util
 import os
@@ -10,13 +11,17 @@ import pytest
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 
 
-@pytest.fixture(scope="module")
-def script():
+def load_script(name):
     spec = importlib.util.spec_from_file_location(
-        "bench_pairs", os.path.join(ROOT, "scripts", "bench_pairs.py"))
+        name, os.path.join(ROOT, "scripts", name + ".py"))
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture(scope="module")
+def script():
+    return load_script("bench_pairs")
 
 
 BETTER = {"ops_per_s": "higher", "op_p50_ms": "lower"}
@@ -79,6 +84,34 @@ def test_rows_print_and_seeds_parse(script):
     assert lines[2] == "| `ops_per_s` | 50 [50, 50] | 70 [70, 70] | 1.400 | 2/2 | yes |"
     assert script.parse_seeds("401-403") == [401, 402, 403]
     assert script.parse_seeds("7") == [7]
+    assert script.parse_seeds("1,2,3") == [1, 2, 3]
+    assert script.parse_seeds("1-3,7") == [1, 2, 3, 7]
+    assert script.parse_seeds("5-5") == [5]
+    for bad in ("5-1", "", "1,", "a", "1-", "-3", "1-2-3"):
+        with pytest.raises(ValueError):
+            script.parse_seeds(bad)
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("bench_pairs", ["P", "C", "--workload", "reduce", "--seconds", "1"]),
+    ("ab_pass", ["P", "C", "--workload", "reduce"]),
+    ("output_digest", ["--workload", "reduce"]),
+])
+def test_an_empty_seed_range_is_a_usage_error(name, argv, capsys):
+    module = load_script(name)
+    with pytest.raises(SystemExit) as info:
+        module.main(argv + ["--seeds", "5-1"])
+    assert info.value.code == 2
+    assert "the range '5-1' is empty" in capsys.readouterr().err
+
+
+def test_output_digest_reads_a_range_as_its_list(capsys):
+    digest = load_script("output_digest")
+    outputs = []
+    for seeds in ("1-2", "1,2"):
+        assert digest.main(["--workload", "search", "--seeds", seeds]) == 0
+        outputs.append(capsys.readouterr().out.split(":", 1)[1])
+    assert outputs[0] == outputs[1]
 
 
 def test_each_checkout_is_compiled_before_the_first_pair(script, monkeypatch, capsys):

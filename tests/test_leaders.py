@@ -31,6 +31,7 @@ from gradedlie.algebras import (
     bracket_basis as _bracket_basis,
     compare_basis,
     degree,
+    dh,
     e,
     elements_in_window,
     enumerate_component,
@@ -331,6 +332,49 @@ class TestDecisionsAgainstAScan:
                 for t in iter_tuples(alg, d, PLUS if d > 0 else MINUS):
                     if d_leader(alg, M, t) is not None:
                         assert l_condition_holds(alg, M, t) == reference_condition(alg, M, t)
+
+
+def s2_to_h2(b):
+    """The isomorphism S_2 -> H_2 on basis elements: SA[0,j] -> DH[0,j+1],
+    SB[i;2] -> DH[i]."""
+    return dh((0, b[1][1] + 1)) if b[0] == "sa" else dh(b[1])
+
+
+def membership_disagreements(phi, pool):
+    """(pairs (M, T) of pool, M != T, on which T in L(M) over S_2 and
+    phi(T) in L(phi(M)) over H_2 disagree; pairs with a nonzero degree
+    gap; members over S_2).  The sign is the gap's, "+" at gap 0."""
+    s_table, h_table = leaders._Table(S2), leaders._Table(H2)
+    differ = gaps = members = 0
+    for M in pool:
+        for T in pool:
+            if M != T:
+                sign = PLUS if degree(S2, T) >= degree(S2, M) else MINUS
+                gaps += degree(S2, T) != degree(S2, M)
+                got = is_member(S2, M, T, sign, table=s_table)
+                members += got
+                differ += got != is_member(H2, phi[M], phi[T], sign, table=h_table)
+    return differ, gaps, members
+
+
+class TestSpecialS2IsHamiltonian2:
+    # test_algebras.py's TestOrder.test_special_s2_order_is_hamiltonian_order
+    # checks that the map keeps degree, basis order and bracket supports.
+    WINDOW = (-1, 3)
+
+    def test_membership_agrees_on_every_ordered_pair(self):
+        pool = elements_in_window(S2, *self.WINDOW)
+        phi = {b: s2_to_h2(b) for b in pool}
+        assert len(pool) == 20
+        assert membership_disagreements(phi, pool) == (0, 310, 216)
+
+    @pytest.mark.parametrize("d", range(-1, 4))
+    def test_swapping_two_images_of_one_degree_disagrees(self, d):
+        pool = elements_in_window(S2, *self.WINDOW)
+        phi = {b: s2_to_h2(b) for b in pool}
+        a, b = enumerate_component(S2, d)[:2]
+        phi[a], phi[b] = phi[b], phi[a]
+        assert membership_disagreements(phi, pool)[0] > 0
 
 
 class TestLeadingDicksonian:

@@ -18,7 +18,9 @@ from gradedlie import (
     print_poly,
     verify_certificate,
 )
-from gradedlie.algebras import InvalidElement, algebra_to_str, e, element_to_str, validate_element
+from gradedlie.algebras import (
+    InvalidElement, algebra_to_str, e, element_to_str, parse_algebra, validate_element,
+)
 from helpers import ALL_ALGEBRAS, P, WINDOWS, WITT, WITT_POS, random_poly, window_basis
 
 
@@ -55,6 +57,19 @@ class TestParse:
     def test_constants_and_signs(self):
         assert P(WITT_POS, "-3/7") == Polynomial.const(WITT_POS, Fraction(-3, 7))
         assert P(WITT_POS, "e[2] - e[2]").is_zero()
+
+    def test_terms_add_into_one_polynomial(self, monkeypatch):
+        # Adding each term to the running sum copies the sum, so reading
+        # would be quadratic in the term count.
+        calls = []
+        plus = Polynomial._plus
+        monkeypatch.setattr(Polynomial, "_plus",
+                            lambda *args: calls.append(args) or plus(*args))
+        text = " + ".join("%d*e[%d]^2*e[%d]" % (k, k, -k - 1) for k in range(1, 300))
+        f = P(WITT, text + " - 7*e[5]^2*e[-6]")
+        assert calls == []
+        assert len(f.terms) == 299
+        assert f.terms[((e(-6), 1), (e(5), 2))] == -2
 
     def test_parse_element(self):
         assert parse_element(WITT, "e[-4]") == e(-4)
@@ -109,6 +124,25 @@ class TestPrint:
     def test_no_plus_minus_sequences(self):
         text = print_poly(P(WITT_POS, "e[2] - 1/2*e[1] - 3"))
         assert "+ -" not in text and "- -" not in text
+
+    @pytest.mark.parametrize("name, text, printed", [
+        ("virasoro", "e[1]*z + z^2*e[-1] - 2*e[0]*z + z",
+         "e[1]*z - 2*e[0]*z + z^2*e[-1] + z"),
+        ("cartan-w:2", "x[1,0]d[2]*x[0,1]d[1] + x[0,1]d[2]^2*x[1,0]d[1] - x[2,0]d[1]",
+         "-x[2,0]d[1] + x[0,1]d[2]^2*x[1,0]d[1] + x[1,0]d[2]*x[0,1]d[1]"),
+        ("special-s:2", "SA[0,2]*SB[1,1;2] + SB[2,0;2]^2*SA[0,1] - 3",
+         "SA[0,2]*SB[1,1;2] + SA[0,1]*SB[2,0;2]^2 - 3"),
+        ("hamiltonian:2", "DH[1,0]*DH[0,1] + DH[2,0]^2*DH[0,2]",
+         "DH[0,2]*DH[2,0]^2 + DH[0,1]*DH[1,0]"),
+        ("contact:3", "DK[1,0,0]*DK[0,1,0] + DK[0,0,1]^2*DK[2,0,0]",
+         "DK[0,0,1]^2*DK[2,0,0] + DK[0,1,0]*DK[1,0,0]"),
+        ("loop-sl2", "E[1]*H[0] - F[2]*E[0]^2 + H[-1]", "-F[2]*E[0]^2 + E[1]*H[0] + H[-1]"),
+        ("example-d", "X[2]*Y + Y^2*X[1] - X[3]", "-X[3] + X[2]*Y + Y^2*X[1]"),
+    ])
+    def test_factors_and_terms_in_basis_order(self, name, text, printed):
+        # In each family the elements' tuple order, which sorts a stored
+        # monomial, differs from the basis order the printer uses.
+        assert print_poly(parse_poly(parse_algebra(name), text)) == printed
 
     def test_round_trip_random(self):
         rng = random.Random(37)
