@@ -6,10 +6,11 @@ For each seed in the range, perfbench/run.py runs once in each checkout
 directory, with the same workload, seed and run length.  The checkout that
 runs first alternates from pair to pair.  Only the last stdout line of each
 run, perfbench's JSON result, is read; each run's result is echoed to
-stderr as it ends.  Before the first pair, each checkout's src tree is
-byte-compiled: a copied checkout holds stale .pyc files, and where
-PYTHONDONTWRITEBYTECODE is set no run rewrites them, so every server start
-of that side would recompile the package and read slower for it.
+stderr as it ends.  Before each run, the checkout's src tree is
+byte-compiled: a copied checkout, or a source edited while the pairs run,
+leaves stale .pyc files, and where PYTHONDONTWRITEBYTECODE is set no run
+rewrites them, so every server start of that side would recompile the
+package and read slower for it.
 
 For each metric the summary gives, per side, the median and quartiles over
 the pairs, and the number of pairs the change won (ties count for neither
@@ -121,13 +122,12 @@ def main(argv=None):
         bench = json.load(fh)
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
 
-    for checkout in (args.parent, args.change):
-        compile_sources(checkout)
     pairs, failed, attempted, wrong = [], [0, 0], [0, 0], [False, False]
     for k, seed in enumerate(seeds):
         sides = [(0, args.parent), (1, args.change)]
         got = {}
         for side, checkout in (sides if k % 2 == 0 else sides[::-1]):
+            compile_sources(checkout)
             result = run_once(checkout, args.workload, seed, args.seconds)
             got[side] = {name: m["value"] for name, m in result["metrics"].items()}
             failed[side] += result["failed"]

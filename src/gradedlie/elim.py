@@ -1,10 +1,17 @@
 """Reduction of polynomials modulo the ideal closure of a generator set.
 
-partial_reduce removes every variable of g lying in an extreme-leader
-set L+(l+(f)) or L-(l-(f)) of some generator f, using the separant-based
-substitution: for a witness tuple t, D_t(f) = alpha * s * T + h with T
-absent from s and h.  With g = sum h_j T^j of degree r in T, b = -h/alpha
-and P(X) = sum h_j s^(r-j) X^j,
+partial_reduce removes each variable T of g in L+(l) or L-(l), l = l+(f)
+or l-(f) of a generator f, by the separant decomposition (Kolchin 1973,
+ch. I): if t witnesses it, D_t(f) = alpha * s * T + h, s = df/dl, with T
+in neither s nor h.  For "+" (mirrored for "-"), D_t(f) = R + sum_a
+df/da * D_t(a), and each term of R has two or more brackets along parts
+of t, each of degree below T's.  No variable a of f lies beyond l, and
+D_t(a) lies below T for a of lower degree and, by dominance, for a rival
+a of l.  So T comes only from s * D_t(l) = alpha * s * T + (terms
+without T): _prepare's check fails only on a fault.  As s and h lie
+below T, each offender of a pass lies past the one before, so
+partial_fixpoint's check of that, too, only detects faults.  With g =
+sum h_j T^j of degree r in T, b = -h/alpha and P(X) = sum h_j s^(r-j) X^j,
 
     s^r * g = P(s*T) = P(b) + Q * D_t(f)/alpha,  Q = (P(s*T) - P(b))/(s*T - b),
 
@@ -25,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebras import order_key
-from .leaders import DEFAULT_MAX_GAP, is_member, iter_witnesses
+from .leaders import DEFAULT_MAX_GAP, _Table, is_member, iter_witnesses
 from .poly import DTuple, MINUS, PLUS, Polynomial, d_bracket, d_op
 
 DEFAULT_MAX_STEPS = 10**6
@@ -36,7 +43,7 @@ class NotReducedSequence(ValueError):
 
 
 class NonTermination(RuntimeError):
-    """Step budget exhausted or a monotone measure failed to move."""
+    """Step budget exhausted, or a guard of the reduction tripped."""
 
 
 @dataclass(frozen=True)
@@ -83,13 +90,14 @@ def _check_generators(alg, lam):
 
 
 def is_partially_reduced(alg, g, lam, max_gap=DEFAULT_MAX_GAP):
-    """No variable of g lies in L+(l+(f)) or L-(l-(f)) for f in lam."""
+    """No variable of g lies in L+(l+(f)) or L-(l-(f)) for f in lam.  The
+    decisions share one table and take g's variables in basis order."""
     leaders = [(f.leader(PLUS), f.leader(MINUS)) for f in _check_generators(alg, lam)]
-    return not any(
-        is_member(alg, lp, v, PLUS, max_gap) or is_member(alg, lm, v, MINUS, max_gap)
-        for v in g.variables()
-        for lp, lm in leaders
-    )
+    table = _Table(alg)
+    return not any(is_member(alg, lp, v, PLUS, max_gap, table=table)
+                   or is_member(alg, lm, v, MINUS, max_gap, table=table)
+                   for v in sorted(g.variables(), key=lambda b: order_key(alg, b))
+                   for lp, lm in leaders)
 
 
 def is_reduced(alg, g, lam, max_gap=DEFAULT_MAX_GAP):
@@ -137,6 +145,7 @@ class _Reducer:
         # by upper rank and their two leaders are read once.
         self.order = sorted(range(len(lam)), key=lambda i: lam[i].rank(PLUS))
         self.leaders = [{PLUS: f.leader(PLUS), MINUS: f.leader(MINUS)} for f in lam]
+        self.table = _Table(alg)  # shared by every decision of the reduction
         self.max_gap = max_gap
         self.max_steps = max_steps
         self.steps = 0
@@ -149,39 +158,26 @@ class _Reducer:
             raise NonTermination("step limit %d exceeded" % self.max_steps)
 
     def _find_offender(self, sign):
-        """Largest (sign "+") / smallest offending variable with the
-        smallest-upper-rank matching generator and a verified witness."""
-        variables = sorted(
-            self.g.variables(),
-            key=lambda b: order_key(self.alg, b),
-            reverse=sign == PLUS,
-        )
-        for v in variables:
+        """The step for the largest (sign "+") / smallest offending variable,
+        its smallest-upper-rank generator and their first witness, or None."""
+        for v in sorted(self.g.variables(), key=lambda b: order_key(self.alg, b),
+                        reverse=sign == PLUS):
             for fi in self.order:
                 lf = self.leaders[fi][sign]
-                witnessed = False
-                for t in iter_witnesses(self.alg, lf, v, sign, self.max_gap):
-                    witnessed = True
-                    step = self._prepare(fi, v, t, sign)
-                    if step is not None:
-                        return step
-                if witnessed:
-                    raise NonTermination("no witness tuple admits the separant decomposition")
+                for t in iter_witnesses(self.alg, lf, v, sign, self.max_gap, table=self.table):
+                    return self._prepare(fi, v, t, sign)
         return None
 
     def _prepare(self, fi, v, t, sign):
-        """Validate D_t(f) = alpha * s * v + h for this witness tuple."""
+        """The step of witness t: D_t(f) = alpha * s * v + h (module docstring)."""
         f = self.lam[fi]
         lf = self.leaders[fi][sign]
         s = f.derivative(lf)  # the separant
         alpha = d_bracket(self.alg, lf, t)[v]
-        dtf = d_op(f, t)
-        parts = dtf.expand_in(v)
-        if set(parts) - {0, 1} or parts.get(1, Polynomial.zero(self.alg)) != alpha * s:
-            return None
+        parts = d_op(f, t).expand_in(v)
         h = parts.get(0, Polynomial.zero(self.alg))
-        if v in s.variables() or v in h.variables():
-            return None
+        if set(parts) - {0, 1} or parts.get(1) != alpha * s or v in s.variables() | h.variables():
+            raise NonTermination("witness admits no separant decomposition")
         return fi, v, t, sign, s, alpha, h
 
     def _eliminate(self, step):
@@ -234,9 +230,9 @@ class _Reducer:
         """Clear powers of the generator's upper leader down below its
         leader degree, multiplying by the initial as needed."""
         f = self.lam[fi]
-        L = f.leader(PLUS)
-        d = f.leader_degree(PLUS)
-        init = f.initial(PLUS)
+        L = self.leaders[fi][PLUS]
+        d = f.degree_in(L)
+        init = f.expand_in(L)[d]
         while self.g.degree_in(L) >= d:
             self._tick()
             expansion = self.g.expand_in(L)

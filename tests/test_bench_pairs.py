@@ -114,7 +114,7 @@ def test_output_digest_reads_a_range_as_its_list(capsys):
     assert outputs[0] == outputs[1]
 
 
-def test_each_checkout_is_compiled_before_the_first_pair(script, monkeypatch, capsys):
+def test_each_run_is_preceded_by_compiling_its_checkout(script, monkeypatch, capsys):
     events = []
     monkeypatch.setattr(script, "compile_sources", lambda d: events.append(("compile", d)))
 
@@ -126,8 +126,8 @@ def test_each_checkout_is_compiled_before_the_first_pair(script, monkeypatch, ca
     monkeypatch.setattr(script, "run_once", run_once)
     assert script.main(["P", "C", "--workload", "reduce", "--seeds", "1-2",
                         "--seconds", "1"]) == 0
-    assert events == [("compile", "P"), ("compile", "C"), ("run", "P"), ("run", "C"),
-                      ("run", "C"), ("run", "P")]
+    assert events == [("compile", "P"), ("run", "P"), ("compile", "C"), ("run", "C"),
+                      ("compile", "C"), ("run", "C"), ("compile", "P"), ("run", "P")]
     assert "reduce, seeds 1-2, 1 s runs, 2 pairs" in capsys.readouterr().out
 
 

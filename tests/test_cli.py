@@ -380,6 +380,49 @@ def python(code, *args, timeout=120, **kw):
                           **kw)
 
 
+class TestHashOrder:
+    """An outcome does not hang on set order: each command gives one exit
+    code, stdout and stderr in children under PYTHONHASHSEED 0-5.  In g =
+    e[30]*e[3], e[3] lies in L+(e[1]), and e[30] lies 29 degrees past e[1],
+    beyond the gap limit; g's variables are decided in basis order, so the
+    witness for e[3] settles the answer before e[30] is asked about."""
+
+    COMMANDS = [
+        (["check-reduced", "e[30]*e[3]", "--by", "e[1]^2"], 1, ""),
+        (["check-reduced-seq", "e[30]*e[3]", "e[1]^2"], 1, ""),
+        (["reduce", "e[5]", "--by", "e[30]*e[3]", "e[1]^2"], 2,
+         "error: generators do not form a reduced sequence\n"),
+    ]
+
+    CHILD = """if 1:
+        import contextlib, io, json, sys
+        from gradedlie.cli import main
+        out = []
+        for argv in json.loads(sys.argv[1]):
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = main(["--alg", "witt"] + argv)
+            out.append([code, stdout.getvalue(), stderr.getvalue()])
+        print(json.dumps(out))
+    """
+
+    def test_one_outcome_under_every_hash_seed(self):
+        code = "import sys; sys.path.insert(0, %r)\n" % SRC + self.CHILD
+        argvs = json.dumps([argv for argv, _, _ in self.COMMANDS])
+        outcomes = set()
+        for seed in range(6):
+            # -I would ignore PYTHONHASHSEED, so the child gets a bare
+            # environment instead.
+            proc = subprocess.run([sys.executable, "-s", "-c", code, argvs], timeout=60,
+                                  env={"PYTHONHASHSEED": str(seed)}, capture_output=True,
+                                  text=True)
+            assert proc.returncode == 0, proc.stderr
+            outcomes.add(proc.stdout)
+        [outcome] = outcomes
+        assert [(c, err) for c, _, err in json.loads(outcome)] == [
+            (c, err) for _, c, err in self.COMMANDS]
+
+
 HUGE = "100000000000"
 
 

@@ -27,8 +27,25 @@ from gradedlie import (
     verify_certificate,
 )
 from gradedlie import elim
-from gradedlie.algebras import e, order_key
-from helpers import P, WITT, WITT_POS, random_fraction, random_poly, random_reduced_sequence
+from gradedlie.algebras import degree, e, enumerate_component, order_key
+from gradedlie.cli import main
+from gradedlie.leaders import iter_witnesses
+from gradedlie.poly import d_bracket
+from helpers import (
+    H2,
+    H4,
+    K3,
+    P,
+    S2,
+    VIR,
+    W2,
+    WITT,
+    WITT_POS,
+    random_fraction,
+    random_poly,
+    random_reduced_sequence,
+    window_basis,
+)
 from poly_reference import (
     reference_mul,
     reference_power,
@@ -405,6 +422,95 @@ class TestMovingOffenderGuard:
     def test_moves_against_its_pass_are_refused(self, monkeypatch, script):
         with pytest.raises(NonTermination, match="offending variable failed to move"):
             self.scripted(monkeypatch, script)
+
+
+def break_decomposition(mp):
+    """D_t(f) gains e[4]^2, so for T = e[4] it is no longer alpha*s*T + h."""
+    d_op = elim.d_op
+    mp.setattr(elim, "d_op", lambda f, t: d_op(f, t) + P(WITT_POS, "e[4]^2"))
+
+
+def shorten_quotient(mp):
+    """elim's Polynomial.var is one power short, so the quotient term of
+    e[1]^4 by e[1]^2 is e[1], not e[1]^2."""
+
+    class OnePowerShort(Polynomial):
+        @classmethod
+        def var(cls, alg, b, c=1, exp=1):
+            return Polynomial.var(alg, b, c, exp - 1)
+
+    mp.setattr(elim, "Polynomial", OnePowerShort)
+
+
+def skip_pseudo_division(mp):
+    mp.setattr(elim._Reducer, "pseudo_divide", lambda self, fi: None)
+
+
+class TestReductionGuards:
+    """Each guard of the reduction, tripped by a fault put in on purpose,
+    raises NonTermination, and the CLI exits 3 with its message."""
+
+    @pytest.mark.parametrize("fault, reduce, g, message", [
+        (break_decomposition, partial_reduce, "e[4]",
+         "witness admits no separant decomposition"),
+        (shorten_quotient, full_reduce, "e[1]^4", "pseudo-division failed to lower degree"),
+        (skip_pseudo_division, full_reduce, "e[1]^4",
+         "reduction did not reach a reduced remainder"),
+    ], ids=["decomposition", "pseudo-division", "rounds"])
+    def test_a_fault_is_refused(self, monkeypatch, capsys, fault, reduce, g, message):
+        fault(monkeypatch)
+        with pytest.raises(NonTermination, match=message):
+            reduce(WITT_POS, P(WITT_POS, g), (P(WITT_POS, "e[1]^2"),))
+        assert main(["--alg", "witt+", "reduce", g, "--by", "e[1]^2"]) == 3
+        assert capsys.readouterr().err == "guard: %s\n" % message
+
+
+class TestSeparantDecomposition:
+    """For every witness t of T in L+(l+(f)) or L-(l-(f)), D_t(f) = alpha *
+    s * T + h, with s the separant in that leader and T in neither s nor h
+    (the elim module docstring proves it).  So _prepare's check of a step
+    fails only on a fault, and a reducer never needs a second witness."""
+
+    WINDOWS = {W2: (-1, 3), S2: (-1, 3), H2: (-1, 3), H4: (-1, 1), K3: (-2, 3),
+               WITT: (-4, 5), VIR: (-4, 5)}
+
+    def generator(self, alg, rng, basis):
+        """A random polynomial over the basis elements on one side of a
+        random degree, plus a term l*a for a rival a of each leader l that
+        has one, so that the witnesses' dominance is needed."""
+        cut = degree(alg, rng.choice(basis))
+        side = rng.choice([-1, 1])
+        pool = [b for b in basis if side * (degree(alg, b) - cut) >= 0]
+        f = random_poly(alg, rng, pool=pool, max_support=3, max_exp=2, max_vars=2)
+        for sign in (PLUS, MINUS):
+            lf = f.leader(sign)
+            comp = enumerate_component(alg, degree(alg, lf))
+            at = comp.index(lf)
+            rivals = comp[:at] if sign == PLUS else comp[at + 1:]
+            if rivals:
+                a = Polynomial.var(alg, rng.choice(rivals), c=random_fraction(rng))
+                f = f + a * Polynomial.var(alg, lf)
+        return f
+
+    def test_every_witness_decomposes(self):
+        rng = random.Random(4)
+        for alg, window in self.WINDOWS.items():
+            basis = window_basis(alg, window)
+            count = 0
+            for _ in range(8):
+                f = self.generator(alg, rng, basis)
+                for sign in (PLUS, MINUS):
+                    lf = f.leader(sign)
+                    s = f.derivative(lf)
+                    for v in basis:
+                        for t in iter_witnesses(alg, lf, v, sign):
+                            parts = d_op(f, t).expand_in(v)
+                            h = parts.get(0, Polynomial.zero(alg))
+                            assert set(parts) <= {0, 1}, (f, t, v)
+                            assert parts[1] == d_bracket(alg, lf, t)[v] * s, (f, t, v)
+                            assert v not in s.variables() | h.variables(), (f, t, v)
+                            count += 1
+            assert count >= 20, alg
 
 
 class TestEliminationStep:
