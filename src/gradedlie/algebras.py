@@ -22,8 +22,9 @@ other structure constant is an integer, so most brackets build no
 Fraction.
 
 Each family is one Family entry of the table _FAMILIES: its command-line
-name, rank rule, element kinds with their validity predicates, grading,
-total order, least degree, graded components and bracket.  The public
+name, rank rule, element kinds with their validity predicates, grading
+(the degree, and for the Cartan types a multidegree in Z^n), total order,
+least degree, graded components and bracket.  The public
 functions below look the family up there and do nothing family-specific
 themselves.  Each element kind has one token grammar in ELEMENT_GRAMMAR,
 from which element_to_str prints a name and textio parses it back.
@@ -88,7 +89,11 @@ class Family(NamedTuple):
     Every callable but the rank predicate takes the AlgebraSpec first.
     `kinds` maps each element kind of the family to its validity predicate
     (alg, b), which is only asked about tuples headed by that kind.
-    order_key(alg, b) is (degree(alg, b),) + tail(alg, b).
+    order_key(alg, b) is (degree(alg, b),) + tail(alg, b).  `grading`
+    (alg, b) -> tuple is the family's Z^n-grading finer than the degree,
+    for which every bracket term's multidegree is the sum of its operands'
+    (Kac 1968): the Cartan types carry one, and it is None for a family
+    graded by the degree alone.
     """
 
     cli: str                    # command-line name; ranked ones add ":n"
@@ -99,6 +104,7 @@ class Family(NamedTuple):
     rank: tuple | None = None   # (predicate on n, its wording), None if unranked
     tail: Callable = lambda alg, b: ()
     min_degree: int | None = None  # None if unbounded below
+    grading: Callable | None = None
 
 
 def e(n):
@@ -202,6 +208,12 @@ def min_degree(alg):
     return _FAMILIES[alg.family].min_degree
 
 
+def multigrading(alg):
+    """The family's grading finer than the degree, (alg, b) -> tuple, or
+    None if the degree is its only grading."""
+    return _FAMILIES[alg.family].grading
+
+
 # ---------------------------------------------------------------------------
 # Lie element helpers
 
@@ -247,11 +259,23 @@ def _unit(n, k):
     return tuple(1 if j == k - 1 else 0 for j in range(n))
 
 
+def _minus_unit(i, k):
+    """i - 1_k in Z^n."""
+    return i[: k - 1] + (i[k - 1] - 1,) + i[k:]
+
+
 def _sub_unit(i, k):
     """i - 1_k, or None if that leaves the lattice."""
     if i[k - 1] == 0:
         return None
     return i[: k - 1] + (i[k - 1] - 1,) + i[k:]
+
+
+def _symplectic_grading(alg, b):
+    """The grading of H_n and K_n: (i_l - i_(m+l) for l <= m, m = n // 2)
+    and the degree."""
+    i, m = b[1], alg.n // 2
+    return tuple(i[l] - i[m + l] for l in range(m)) + (degree(alg, b),)
 
 
 def _add(i, j):
@@ -502,6 +526,7 @@ _FAMILIES = {
             ("w", i, k) for i in _compositions(d + 1, alg.n) for k in range(1, alg.n + 1)
         ],
         bracket=lambda alg, a, b: _w_bracket(alg.n, a[1], a[2], b[1], b[2]),
+        grading=lambda alg, b: _minus_unit(b[1], b[2]),
     ),
     SPECIAL_S: Family(
         cli="special-s",
@@ -519,6 +544,10 @@ _FAMILIES = {
         min_degree=-1,
         component=_s_component,
         bracket=_s_bracket,
+        # Both W_n terms of an SB element (sb_expand) have this grading.
+        grading=lambda alg, b: (
+            _minus_unit(b[1], 1) if b[0] == "sa" else _minus_unit(_minus_unit(b[1], 1), b[2])
+        ),
     ),
     HAMILTONIAN_H: Family(
         cli="hamiltonian",
@@ -529,6 +558,7 @@ _FAMILIES = {
         min_degree=-1,
         component=lambda alg, d: [("dh", i) for i in _compositions(d + 2, alg.n) if any(i)],
         bracket=_h_bracket,
+        grading=_symplectic_grading,
     ),
     CONTACT_K: Family(
         cli="contact",
@@ -543,6 +573,7 @@ _FAMILIES = {
             for i in _compositions(d + 2 - 2 * t, alg.n - 1)
         ],
         bracket=_k_bracket,
+        grading=_symplectic_grading,
     ),
     LOOP_SL2: Family(
         cli="loop-sl2",

@@ -4,16 +4,19 @@ L+(M) collects the upper leaders of iterated brackets of M along tuples
 of positive-degree elements whose iterated leader dominates that of every
 smaller basis element; L-(M) is the mirror image.  Membership is decided
 by exhausting the finitely many tuples with the right total degree, and
-the dominance condition only needs checking against the finitely many
-basis elements in M's own graded component (lower components are forced
-by the grading).
+on the Cartan types, whose grading is finer than the degree, only those
+whose entries' multidegrees sum to mdeg(T) - mdeg(M): no other tuple can
+lead M to T.  The dominance condition only needs checking against the
+finitely many basis elements in M's own graded component (lower
+components are forced by the grading).
 
 The decisions of one public call share one _Table: the graded components
-it enumerates, and, per component and tuple t, the running extreme of the
-rivals' iterated leaders along t.  Dominance of M along t is then one
-comparison with that row.  A table lives for one call only; nothing is
-kept between calls.  l_condition_holds answers one tuple through a fresh
-table by the same comparison, so the package has one dominance test.
+it enumerates, with their elements' multidegrees, and, per component and
+tuple t, the running extreme of the rivals' iterated leaders along t.
+Dominance of M along t is then one comparison with that row.  A table
+lives for one call only; nothing is kept between calls.
+l_condition_holds answers one tuple through a fresh table by the same
+comparison, so the package has one dominance test.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
+from operator import sub
 
 from .algebras import (
     bracket_basis,
@@ -31,6 +35,7 @@ from .algebras import (
     enumerate_component,
     lie_extreme,
     min_degree,
+    multigrading,
     order_key,
     validate_element,
 )
@@ -67,8 +72,16 @@ def _check_sign(sign):
 class _Table:
     """What the decisions of one public call share, for that call only.
 
-    components maps a degree to its enumerate_component list: iter_tuples
-    draws its entries from it, and a decision finds M's rivals in it.
+    components maps a degree to its enumerate_component list: a decision
+    finds M's rivals in it.  graded maps a degree d to the cells
+    (b, d, mdeg b) of its component, mdeg b being b's multidegree under
+    the family's grading (None where the degree is the only grading),
+    computed once per table.  runs maps a signed bound k to the cells of
+    degrees 1..k (k > 0) or k..-1 (k < 0), in ascending degree: the
+    candidates of an iter_tuples entry before the last.  index maps a
+    degree to its elements grouped by multidegree, each group in basis
+    order: the candidates of a last entry that must bring its tuple to a
+    target multidegree.
     rows maps (degree d, entries of a tuple t) to the row of d's component
     along t: row[j] is the extreme order key (the largest for sign "+",
     the smallest for "-") of the nonzero iterated leaders along t of the j
@@ -76,18 +89,46 @@ class _Table:
     while there is none.  A row is extended only as far as a decision asks.
     """
 
-    __slots__ = ("alg", "components", "rows")
+    __slots__ = ("alg", "grading", "components", "graded", "runs", "index", "rows")
 
     def __init__(self, alg):
         self.alg = alg
+        self.grading = multigrading(alg)
         self.components = {}
+        self.graded = {}
+        self.runs = {}
+        self.index = {}
         self.rows = {}
 
-    def component(self, d):
-        comp = self.components.get(d)
-        if comp is None:
-            comp = self.components[d] = enumerate_component(self.alg, d)
-        return comp
+    def component(self, d, need=None):
+        """The elements of degree d in basis order; given a multidegree
+        need, only those of that multidegree."""
+        if need is None:
+            comp = self.components.get(d)
+            if comp is None:
+                comp = self.components[d] = enumerate_component(self.alg, d)
+            return comp
+        groups = self.index.get(d)
+        if groups is None:
+            groups = self.index[d] = {}
+            for b, _, m in self.cells(d):
+                groups.setdefault(m, []).append(b)
+        return groups.get(need, ())
+
+    def cells(self, d):
+        cells = self.graded.get(d)
+        if cells is None:
+            alg, grading = self.alg, self.grading
+            cells = self.graded[d] = [(b, d, grading and grading(alg, b))
+                                      for b in self.component(d)]
+        return cells
+
+    def run(self, k):
+        run = self.runs.get(k)
+        if run is None:
+            run = self.runs[k] = [c for e in (range(1, k + 1) if k > 0 else range(k, 0))
+                                  for c in self.cells(e)]
+        return run
 
     def rivals(self, M, sign):
         """The number of M's rivals: the elements of M's component below M
@@ -122,34 +163,25 @@ class _Table:
             row.append(k)
 
 
-def _iter_length(rem, sign, slots, component, prefix):
-    """The entry tuples that extend prefix by `slots` entries of total
-    degree rem, in entry-lex order.
+def iter_tuples(alg, d, sign, max_gap=DEFAULT_MAX_GAP, *, table=None, target=None):
+    """All tuples of 𝔐-sign entries with total degree d, shortest first,
+    then entry-lex (order_key leads with the degree, so each entry runs
+    over its feasible degrees in ascending order and each degree's
+    component in basis order).  Given a target multidegree, on a family
+    with a grading finer than the degree, only the tuples whose entries'
+    multidegrees sum to target, in the same order.
 
-    Each entry runs over its feasible degrees in ascending order and each
-    degree's component in basis order; order_key leads with the degree,
-    so this is entry-lex order.  component(e) is the component of degree e.
-    """
-    if slots == 1:
-        degrees = (rem,)
-    elif sign == PLUS:
-        degrees = range(1, rem - slots + 2)
-    else:
-        degrees = range(rem + slots - 1, 0)
-    for e in degrees:
-        for b in component(e):
-            if slots == 1:
-                yield prefix + (b,)
-            else:
-                yield from _iter_length(rem - e, sign, slots - 1, component, prefix + (b,))
-
-
-def iter_tuples(alg, d, sign, max_gap=DEFAULT_MAX_GAP, *, table=None):
-    """All tuples of 𝔐-sign entries with total degree d, shortest first.
-    Every entry comes from a component of the table (a fresh one if
-    table is None), at a degree of the sign, so the tuples are made
-    without checking them again."""
+    One walk over an explicit stack: stack[i] holds entry i's candidates
+    from the table's runs, with the degree (and, given a target, the
+    multidegree) that the entries before it leave.  The last entry's
+    degree is then fixed, and it is drawn from that degree's component,
+    or from its index group of the multidegree left.  Every entry comes
+    from a component of the table (a fresh one if table is None), at a
+    degree of the sign, so the tuples are made without checking them
+    again."""
     _check_sign(sign)
+    if type(d) is not int:
+        raise ValueError("tuple degree must be an int, not %r" % (d,))
     if d == 0 or (d > 0) != (sign == PLUS):
         raise ValueError("degree %d incompatible with sign %r" % (d, sign))
     if abs(d) > max_gap:
@@ -158,9 +190,30 @@ def iter_tuples(alg, d, sign, max_gap=DEFAULT_MAX_GAP, *, table=None):
         )
     if table is None:
         table = _Table(alg)
-    for length in range(1, abs(d) + 1):
-        for entries in _iter_length(d, sign, length, table.component, ()):
-            yield _trusted_dtuple(alg, entries, sign)
+    if target is not None and table.grading is None:
+        raise ValueError("%s has no grading finer than the degree" % (alg,))
+    run, component = table.run, table.component
+    for b in component(d, target):
+        yield _trusted_dtuple(alg, (b,), sign)
+    step = 1 if sign == PLUS else -1
+    for length in range(2, abs(d) + 1):
+        top = length - 2  # the last entry before the last
+        entries = [None] * length
+        stack = [(iter(run(d - step * (top + 1))), d, target)]
+        while stack:
+            i = len(stack) - 1
+            it, rem, need = stack[i]
+            for b, e, m in it:
+                entries[i] = b
+                left = need and tuple(map(sub, need, m))
+                if i < top:
+                    stack.append((iter(run(rem - e - step * (top - i))), rem - e, left))
+                    break
+                for c in component(rem - e, left):
+                    entries[-1] = c
+                    yield _trusted_dtuple(alg, tuple(entries), sign)
+            else:
+                stack.pop()
 
 
 def l_condition_holds(alg, M, t):
@@ -180,16 +233,24 @@ def l_condition_holds(alg, M, t):
 def iter_witnesses(alg, M, T, sign, max_gap=DEFAULT_MAX_GAP, *, table=None):
     """Tuples t with iterated leader T and the dominance condition, in
     iter_tuples order, decided through the table (a fresh one if table is
-    None).  M's rivals are counted, and T's order key taken, once: the
-    first time a tuple's leader is T."""
+    None).  M and T are checked first.  On a family with a grading finer
+    than the degree, D_t(M) is homogeneous of multidegree mdeg(M) plus
+    the entries' multidegrees, so only the tuples whose entries sum to
+    mdeg(T) - mdeg(M) are walked.  M's rivals are counted, and T's order
+    key taken, once: the first time a tuple's leader is T."""
+    _check_sign(sign)
+    validate_element(alg, M)
+    validate_element(alg, T)
     dM = degree(alg, M)
     gap = degree(alg, T) - dM
     if gap == 0 or (gap > 0) != (sign == PLUS):
         return
     if table is None:
         table = _Table(alg)
+    grading = table.grading
+    target = grading and tuple(map(sub, grading(alg, T), grading(alg, M)))
     count = None
-    for t in iter_tuples(alg, gap, sign, max_gap, table=table):
+    for t in iter_tuples(alg, gap, sign, max_gap, table=table, target=target):
         if d_leader(alg, M, t) == T:
             if count is None:
                 count = table.rivals(M, sign)
@@ -200,16 +261,14 @@ def iter_witnesses(alg, M, T, sign, max_gap=DEFAULT_MAX_GAP, *, table=None):
 
 def l_member(alg, M, T, sign, max_gap=DEFAULT_MAX_GAP, *, table=None):
     """Decide T in L+(M) (sign "+") or T in L-(M) (sign "-").  The witness
-    is the first tuple of iter_witnesses; the decision shares the table
-    (a fresh one if table is None) with the others of the caller."""
-    _check_sign(sign)
-    validate_element(alg, M)
-    validate_element(alg, T)
+    is the first tuple of iter_witnesses, which checks M, T and the sign;
+    the decision shares the table (a fresh one if table is None) with the
+    others of the caller."""
+    for t in iter_witnesses(alg, M, T, sign, max_gap, table=table):
+        return MembershipReport(True, witness=t)
     gap = degree(alg, T) - degree(alg, M)
     if gap == 0 or (gap > 0) != (sign == PLUS):
         return MembershipReport(False, notes="degree gap %d has the wrong sign" % gap)
-    for t in iter_witnesses(alg, M, T, sign, max_gap, table=table):
-        return MembershipReport(True, witness=t)
     return MembershipReport(False, notes="no tuple of degree %d works" % gap)
 
 

@@ -31,8 +31,9 @@ and each factor b^y of n, with cofactor n/b and f's terms scaled by d*y.
 Neither builds a partial-derivative polynomial.  The operator D_t
 iterates the bracket along a DTuple t: d_op on polynomials, d_bracket and
 d_leader on basis elements.  A DTuple made by its constructor checks its
-entries; leaders.iter_tuples makes its tuples from enumerated components
-through _trusted_dtuple, without checking them again.
+entries; leaders.iter_tuples makes its tuples through _trusted_dtuple,
+without checking them again: each entry comes from an enumerated
+component, whole or grouped by multidegree.
 """
 
 from __future__ import annotations
@@ -407,8 +408,9 @@ class DTuple:
     Making one checks each entry once and reads the sign from the first
     entry's degree; d_op and d_leader then only check that t.alg is theirs.
     leaders.iter_tuples makes its tuples through _trusted_dtuple instead,
-    without checking them again: it draws each entry from
-    enumerate_component at a degree of the tuple's sign.
+    without checking them again: it draws each entry, at a degree of the
+    tuple's sign, from an enumerate_component list of its table, whole or
+    grouped by multidegree.
     """
 
     alg: object

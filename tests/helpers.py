@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 from gradedlie import AlgebraSpec, Polynomial, is_reduced_sequence, parse_poly
-from gradedlie.algebras import e, elements_in_window
+from gradedlie.algebras import degree, e, elements_in_window
 
 WITT = AlgebraSpec("Witt")
 WITT_POS = AlgebraSpec("WittPositive")
@@ -100,3 +100,46 @@ def random_reduced_sequence(rng):
     if not lam or not is_reduced_sequence(WITT_POS, lam):
         return None
     return lam
+
+
+# The Cartan types' grading finer than the degree, defined here apart from
+# the package's Family.grading, which the tests check against it.
+
+
+def unit(n, k):
+    return tuple(int(j == k - 1) for j in range(n))
+
+
+def minus(i, *units):
+    return tuple(a - sum(u[j] for u in units) for j, a in enumerate(i))
+
+
+def halves(i, m, combine=lambda a, b: a - b):
+    """(combine(i_l, i_(m+l)) for l <= m)."""
+    return tuple(combine(i[l], i[m + l]) for l in range(m))
+
+
+def multidegree(alg, b):
+    """The Cartan types' grading finer than the degree: x^i d_k has
+    i - 1_k in W_n and S_n, D_H(x^i) has (i_l - i_(m+l))_l and |i| - 2 in
+    H_2m, D_K(x^i) has (i_l - i_(m+l))_l and its degree in K_(2m+1); every
+    other element has its degree alone."""
+    kind = b[0]
+    if kind == "w":
+        return minus(b[1], unit(alg.n, b[2]))
+    if kind == "sa":
+        return minus(b[1], unit(alg.n, 1))
+    if kind == "sb":
+        return minus(b[1], unit(alg.n, 1), unit(alg.n, b[2]))
+    if kind == "dh":
+        return halves(b[1], alg.n // 2) + (sum(b[1]) - 2,)
+    if kind == "dk":
+        return halves(b[1], alg.n // 2) + (degree(alg, b),)
+    return (degree(alg, b),)
+
+
+MULTIGRADED_WINDOWS = [
+    ("cartan-w:2", (-1, 3)), ("cartan-w:3", (-1, 2)), ("special-s:2", (-1, 3)),
+    ("special-s:3", (-1, 2)), ("hamiltonian:2", (-1, 3)), ("hamiltonian:4", (-1, 1)),
+    ("contact:3", (-2, 2)), ("contact:5", (-2, 1)),
+]

@@ -20,7 +20,12 @@ from gradedlie import (
     sn_project,
     validate_element,
 )
+from gradedlie import algebras
 from gradedlie.algebras import (
+    CARTAN_W,
+    CONTACT_K,
+    HAMILTONIAN_H,
+    SPECIAL_S,
     Y,
     Z,
     bracket_lie,
@@ -50,6 +55,11 @@ from helpers import (
     WINDOWS,
     WITT,
     WITT_POS,
+    MULTIGRADED_WINDOWS,
+    halves,
+    minus,
+    multidegree,
+    unit,
     window_basis,
 )
 
@@ -357,38 +367,6 @@ class TestEnumeration:
                         == elements_in_window(alg, floor, floor + 1))
 
 
-def _unit(n, k):
-    return tuple(int(j == k - 1) for j in range(n))
-
-
-def _minus(i, *units):
-    return tuple(a - sum(u[j] for u in units) for j, a in enumerate(i))
-
-
-def _halves(i, m, combine=lambda a, b: a - b):
-    """(combine(i_l, i_(m+l)) for l <= m)."""
-    return tuple(combine(i[l], i[m + l]) for l in range(m))
-
-
-def multidegree(alg, b):
-    """The Cartan types' grading finer than the degree: x^i d_k has
-    i - 1_k in W_n and S_n, D_H(x^i) has (i_l - i_(m+l))_l and |i| - 2 in
-    H_2m, D_K(x^i) has (i_l - i_(m+l))_l and its degree in K_(2m+1); every
-    other element has its degree alone."""
-    kind = b[0]
-    if kind == "w":
-        return _minus(b[1], _unit(alg.n, b[2]))
-    if kind == "sa":
-        return _minus(b[1], _unit(alg.n, 1))
-    if kind == "sb":
-        return _minus(b[1], _unit(alg.n, 1), _unit(alg.n, b[2]))
-    if kind == "dh":
-        return _halves(b[1], alg.n // 2) + (sum(b[1]) - 2,)
-    if kind == "dk":
-        return _halves(b[1], alg.n // 2) + (degree(alg, b),)
-    return (degree(alg, b),)
-
-
 def grading_violations(alg, window, grading):
     """(terms whose grading is not the sum of their bracket operands',
     terms checked) over every bracket of two elements of the window."""
@@ -404,27 +382,20 @@ def grading_violations(alg, window, grading):
     return bad, terms
 
 
-MULTIGRADED_WINDOWS = [
-    ("cartan-w:2", (-1, 3)), ("cartan-w:3", (-1, 2)), ("special-s:2", (-1, 3)),
-    ("special-s:3", (-1, 2)), ("hamiltonian:2", (-1, 3)), ("hamiltonian:4", (-1, 1)),
-    ("contact:3", (-2, 2)), ("contact:5", (-2, 1)),
-]
-
-
 def _w_without_unit(alg, b):
     return b[1] if b[0] == "w" else multidegree(alg, b)
 
 
 def _s_without_unit_k(alg, b):
-    return _minus(b[1], _unit(alg.n, 1)) if b[0] == "sb" else multidegree(alg, b)
+    return minus(b[1], unit(alg.n, 1)) if b[0] == "sb" else multidegree(alg, b)
 
 
 def _h_with_a_sum(alg, b):
-    return _halves(b[1], alg.n // 2, int.__add__) + (sum(b[1]) - 2,)
+    return halves(b[1], alg.n // 2, int.__add__) + (sum(b[1]) - 2,)
 
 
 def _k_with_a_sum(alg, b):
-    return _halves(b[1], alg.n // 2, int.__add__) + (degree(alg, b),)
+    return halves(b[1], alg.n // 2, int.__add__) + (degree(alg, b),)
 
 
 class TestMultigrading:
@@ -434,6 +405,19 @@ class TestMultigrading:
     def test_brackets_are_additive(self, name, window):
         bad, terms = grading_violations(parse_algebra(name), window, multidegree)
         assert terms and bad == 0
+
+    @pytest.mark.parametrize("name, window", MULTIGRADED_WINDOWS)
+    def test_the_family_grading_is_the_tests_own(self, name, window):
+        alg = parse_algebra(name)
+        grading = algebras._FAMILIES[alg.family].grading
+        for b in elements_in_window(alg, *window):
+            assert grading(alg, b) == multidegree(alg, b), b
+
+    def test_the_families_graded_by_the_degree_alone_have_no_grading(self):
+        graded = {parse_algebra(name).family for name, _ in MULTIGRADED_WINDOWS}
+        assert graded == {CARTAN_W, SPECIAL_S, HAMILTONIAN_H, CONTACT_K}
+        for family, fam in algebras._FAMILIES.items():
+            assert (fam.grading is None) == (family not in graded), family
 
     @pytest.mark.parametrize("name, window", MULTIGRADED_WINDOWS)
     def test_a_grading_with_one_part_wrong_fails(self, name, window):

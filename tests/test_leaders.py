@@ -43,7 +43,23 @@ from gradedlie.algebras import (
 )
 from gradedlie.leaders import is_member, iter_tuples, iter_witnesses
 from gradedlie.poly import d_leader
-from helpers import EXD, H2, K3, S2, S3, SL2, VIR, W1, W2, W3, WINDOWS, WITT, WITT_POS
+from helpers import (
+    EXD,
+    H2,
+    K3,
+    MULTIGRADED_WINDOWS,
+    S2,
+    S3,
+    SL2,
+    VIR,
+    W1,
+    W2,
+    W3,
+    WINDOWS,
+    WITT,
+    WITT_POS,
+    multidegree,
+)
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 
@@ -165,6 +181,15 @@ class TestTupleSpace:
         with pytest.raises(ValueError):
             list(iter_tuples(WITT, 2, MINUS))
 
+    @pytest.mark.parametrize("d", [2.0, "2", None, True])
+    def test_a_degree_that_is_no_int_is_refused(self, d):
+        with pytest.raises(ValueError, match="must be an int"):
+            list(iter_tuples(WITT, d, PLUS))
+
+    def test_a_target_needs_a_grading_finer_than_the_degree(self):
+        with pytest.raises(ValueError, match="no grading finer than the degree"):
+            list(iter_tuples(WITT, 2, PLUS, target=(2,)))
+
     def test_gap_guard(self):
         with pytest.raises(DegreeGapExceeded):
             list(iter_tuples(WITT, 10, PLUS, max_gap=5))
@@ -190,6 +215,27 @@ class TestTupleSpace:
                 got = list(iter_tuples(alg, d, sign))
                 assert got == sorted_tuples(alg, d, sign), d
                 assert all((t.alg, t.sign) == (alg, sign) for t in got), d
+
+
+@pytest.mark.parametrize("name, window", MULTIGRADED_WINDOWS)
+def test_a_target_walk_is_the_flat_walk_filtered(name, window):
+    """For every gap of the window and every multidegree its tuples reach,
+    the walk to that target yields exactly the flat walk's tuples whose
+    entries sum to it, in the same order; a target no tuple reaches
+    yields none."""
+    alg = parse_algebra(name)
+    lo, hi = window
+    for d in range(lo - hi, hi - lo + 1):
+        if d:
+            sign = PLUS if d > 0 else MINUS
+            groups = {}
+            for t in iter_tuples(alg, d, sign):
+                m = tuple(map(sum, zip(*(multidegree(alg, b) for b in t.entries))))
+                groups.setdefault(m, []).append(t)
+            for m, tuples in groups.items():
+                assert list(iter_tuples(alg, d, sign, target=m)) == tuples, (d, m)
+            beyond = tuple(a + 100 for a in m)
+            assert list(iter_tuples(alg, d, sign, target=beyond)) == []
 
 
 class TestLCondition:
@@ -239,9 +285,19 @@ class TestLMember:
             assert l_condition_holds(W2, w((1, 1), 2), report.witness)
 
     def test_sign_refused(self):
-        for decide in (l_member, is_member):
+        for decide in (l_member, is_member, lambda *args: next(iter_witnesses(*args))):
             with pytest.raises(ValueError, match="^sign must be '\\+' or '-'$"):
                 decide(WITT, e(1), e(3), "x")
+
+    @pytest.mark.parametrize("bad", [("w", (2, 0), 1), ("q",), ("w", "abc", 1), 5, ()],
+                             ids=["short-index", "unknown-kind", "index-of-str", "int", "empty"])
+    def test_witnesses_check_both_elements_first(self, bad):
+        good = w((1, 0, 0), 1)
+        for M, T in [(good, bad), (bad, good)]:
+            with pytest.raises(InvalidElement):
+                next(iter_witnesses(W3, M, T, PLUS))
+            with pytest.raises(InvalidElement):
+                l_member(W3, M, T, PLUS)
 
     def test_rival_leaders_are_not_checked(self, monkeypatch):
         """M = x[1,0]d[2] has the rivals x[1,0]d[1] and x[0,1]d[1], both
@@ -262,7 +318,8 @@ class TestLMember:
 
 
 # Small windows on which every (M, T) decision can be rescanned tuple by tuple.
-SCAN_WINDOWS = [(W2, (-1, 3)), (S2, (-1, 3)), (H2, (-1, 3)), (K3, (-2, 2)), (VIR, (-4, 4))]
+SCAN_WINDOWS = [(W2, (-1, 3)), (S2, (-1, 3)), (H2, (-1, 3)), (K3, (-2, 2)), (VIR, (-4, 4)),
+                (W3, (-1, 2))]
 
 
 def scan_witnesses(alg, M, T, sign):
@@ -327,8 +384,12 @@ class TestDecisionsAgainstAScan:
             assert (shared.verdict, shared.witness) == (fresh.verdict, fresh.witness)
 
     def test_condition_against_the_reference(self, alg, window):
+        # At rank 3 (6,957 tuples of degree 3) only gap 1 is run here:
+        # test_every_witness compares the same condition on every tuple
+        # that reaches its T, at every gap of the window.
+        gaps = (-1, 1) if alg == W3 else (-3, -2, -1, 1, 2, 3)
         for M in elements_in_window(alg, *window):
-            for d in (-3, -2, -1, 1, 2, 3):
+            for d in gaps:
                 for t in iter_tuples(alg, d, PLUS if d > 0 else MINUS):
                     if d_leader(alg, M, t) is not None:
                         assert l_condition_holds(alg, M, t) == reference_condition(alg, M, t)
@@ -735,6 +796,20 @@ class TestVerifyClaimedSubset:
             with pytest.raises(DegreeGapExceeded):
                 verify_claimed_subset(H2, "H_1", bound, max_gap=2)
         assert verify_claimed_subset(H2, "H_1", 2, max_gap=2).verdict is True
+
+    def test_special_s3_second_family_fails_on_five_pairs(self):
+        # The five S_3 failures at bound 2 that CHANGES.md records; each T
+        # is the leader of some tuple, which loses dominance to a rival.
+        report = verify_claimed_subset(S3, "S_ii", 2)
+        assert report.verdict is False
+        assert report.failing == (
+            (sb((1, 0, 1), 3), sb((1, 1, 2), 3)),
+            (sb((1, 0, 1), 3), sb((1, 2, 1), 3)),
+            (sb((1, 0, 1), 3), sb((2, 0, 1), 3)),
+            (sb((1, 0, 2), 3), sb((1, 2, 2), 3)),
+            (sb((1, 0, 2), 3), sb((2, 0, 2), 3)),
+        )
+        assert report.notes.startswith("5 of 108 claimed memberships failed: ")
 
     def test_failures_carry_exact_pairs(self, monkeypatch):
         # The degree-1 raise SB[2,1;2] -> SB[3,1;2] needs [M, M] = 0, so it
