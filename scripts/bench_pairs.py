@@ -18,14 +18,25 @@ side).  A gain is claimed only when the change wins at least nine tenths of
 the pairs and the medians differ, in the better direction, by more than the
 parent's quartile spread (Q3 - Q1).  The better direction of each metric is
 read from the BENCHMARK.json beside this script.
+
+With --json FILE the workload's entry of FILE, a BENCH document, is
+written; entries of other workloads already in FILE are kept.  The entry
+holds the summary rows, each pair's metrics, the seeds, the run length, the
+host, its CPU count and the Python version, and, as the per-module view of
+a cold start, each gradedlie module's median self and cumulative import
+time in microseconds (`python -X importtime -c "import gradedlie.cli"`)
+over IMPORT_RUNS fresh interpreters per side, the sides alternating.
 """
 
 import argparse
 import json
 import os
+import platform
 import statistics
 import subprocess
 import sys
+
+IMPORT_RUNS = 11
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -88,6 +99,62 @@ def run_once(checkout, workload, seed, seconds):
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
+def parse_importtime(text):
+    """{module: [self us, cumulative us]} of the gradedlie modules in the
+    stderr of `python -X importtime`."""
+    times = {}
+    for line in text.splitlines():
+        head, _, rest = line.partition(":")
+        fields = rest.split("|")
+        if head != "import time" or len(fields) != 3:
+            continue
+        name = fields[2].strip()
+        if (name == "gradedlie" or name.startswith("gradedlie.")) and fields[0].strip().isdigit():
+            times[name] = [int(fields[0]), int(fields[1])]
+    return times
+
+
+def median_import_times(samples):
+    """Per module, the median self and cumulative time over samples, each a
+    parse_importtime result; a module missing from any sample is left out."""
+    names = set.intersection(*(set(s) for s in samples)) if samples else set()
+    return {name: [statistics.median(s[name][k] for s in samples) for k in (0, 1)]
+            for name in sorted(names)}
+
+
+def import_once(checkout):
+    """parse_importtime of one fresh interpreter importing checkout's gradedlie.cli."""
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-c", "import gradedlie.cli"],
+                          cwd=checkout, env=dict(os.environ, PYTHONPATH="src"),
+                          capture_output=True, text=True, check=True)
+    return parse_importtime(proc.stderr)
+
+
+def import_medians(checkouts):
+    """Per side, median_import_times over IMPORT_RUNS fresh imports, the
+    side that imports first alternating."""
+    for checkout in checkouts:
+        compile_sources(checkout)
+    samples = [[] for _ in checkouts]
+    for k in range(IMPORT_RUNS):
+        for side in ((0, 1) if k % 2 == 0 else (1, 0)):
+            samples[side].append(import_once(checkouts[side]))
+    return [median_import_times(s) for s in samples]
+
+
+def write_entry(path, workload, entry):
+    """Put entry under workload in the BENCH document at path, keeping the
+    other workloads' entries."""
+    doc = {"workloads": {}}
+    if os.path.exists(path):
+        with open(path) as fh:
+            doc = json.load(fh)
+    doc["workloads"][workload] = entry
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+
+
 def parse_seeds(text):
     """The seeds of a comma-separated list of seeds and ranges, e.g. '1,2,3',
     '401-410' or '1-3,7'.  A malformed item, or a range whose end is below
@@ -113,6 +180,7 @@ def main(argv=None):
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seeds", required=True, help="seeds and ranges, e.g. 401-410")
     ap.add_argument("--seconds", type=float, required=True)
+    ap.add_argument("--json", metavar="FILE", help="write this workload's entry of FILE")
     args = ap.parse_args(argv)
     try:
         seeds = parse_seeds(args.seeds)
@@ -142,7 +210,21 @@ def main(argv=None):
     for side, label in enumerate(("parent", "change")):
         print("%s: %d of %d commands failed%s" % (label, failed[side], attempted[side],
                                                    ", a wrong result" if wrong[side] else ""))
-    print("\n".join(format_rows(summarize(pairs, better))))
+    rows = summarize(pairs, better)
+    print("\n".join(format_rows(rows)))
+    if args.json:
+        sides = ("parent", "change")
+        imports = import_medians((args.parent, args.change))
+        write_entry(args.json, args.workload, {
+            "seeds": seeds, "seconds": args.seconds, "host": platform.node(),
+            "platform": platform.platform(), "cpu_count": os.cpu_count(),
+            "python": platform.python_version(),
+            "failed": dict(zip(sides, failed)), "attempted": dict(zip(sides, attempted)),
+            "correct": dict(zip(sides, (not w for w in wrong))),
+            "rows": rows, "pairs": [{"seed": seed, "parent": p, "change": c}
+                                    for seed, (p, c) in zip(seeds, pairs)],
+            "import_us": dict(zip(sides, imports), runs=IMPORT_RUNS),
+        })
     return 0
 
 

@@ -36,7 +36,6 @@ element, matching H_2's order under S_2 = H_2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
@@ -65,22 +64,26 @@ class NotInSn(ValueError):
     """W_n element is not in the span of the S_n basis."""
 
 
-@dataclass(frozen=True)
-class AlgebraSpec:
-    """One of the built-in graded Lie algebras, with rank where applicable."""
-
+class _AlgebraFields(NamedTuple):
     family: str
     n: int | None = None
 
-    def __post_init__(self):
-        fam = _FAMILIES.get(self.family)
+
+class AlgebraSpec(_AlgebraFields):
+    """One of the built-in graded Lie algebras, with rank where applicable."""
+
+    __slots__ = ()
+
+    def __new__(cls, family, n=None):
+        fam = _FAMILIES.get(family)
         if fam is None:
-            raise ValueError("unknown algebra family: %r" % (self.family,))
+            raise ValueError("unknown algebra family: %r" % (family,))
         if fam.rank is None:
-            if self.n is not None:
-                raise ValueError("%s takes no rank parameter" % self.family)
-        elif self.n is None or not fam.rank[0](self.n):
-            raise ValueError("%s requires %s" % (self.family, fam.rank[1]))
+            if n is not None:
+                raise ValueError("%s takes no rank parameter" % family)
+        elif n is None or not fam.rank[0](n):
+            raise ValueError("%s requires %s" % (family, fam.rank[1]))
+        return tuple.__new__(cls, (family, n))
 
 
 class Family(NamedTuple):

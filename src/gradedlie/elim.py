@@ -28,8 +28,8 @@ which verify_certificate recomputes from scratch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .algebras import order_key
 from .leaders import DEFAULT_MAX_GAP, _Table, is_member, iter_witnesses
@@ -46,8 +46,7 @@ class NonTermination(RuntimeError):
     """Step budget exhausted, or a guard of the reduction tripped."""
 
 
-@dataclass(frozen=True)
-class MultiplierExp:
+class MultiplierExp(NamedTuple):
     """Exponents of one generator's initial and separants on the left."""
 
     initial: int = 0
@@ -55,8 +54,7 @@ class MultiplierExp:
     sep_minus: int = 0
 
 
-@dataclass(frozen=True, eq=False)
-class CertTerm:
+class CertTerm(NamedTuple):
     """One right-hand-side term: coeff * D_tuple(generator).
 
     dtuple None means the plain generator (no bracket applied).
@@ -67,8 +65,7 @@ class CertTerm:
     dtuple: DTuple | None
 
 
-@dataclass(frozen=True, eq=False)
-class ReductionCertificate:
+class ReductionCertificate(NamedTuple):
     alg: object
     input: Polynomial
     remainder: Polynomial
@@ -90,10 +87,15 @@ def _check_generators(alg, lam):
 
 
 def is_partially_reduced(alg, g, lam, max_gap=DEFAULT_MAX_GAP):
-    """No variable of g lies in L+(l+(f)) or L-(l-(f)) for f in lam.  The
-    decisions share one table and take g's variables in basis order."""
-    leaders = [(f.leader(PLUS), f.leader(MINUS)) for f in _check_generators(alg, lam)]
-    table = _Table(alg)
+    """No variable of g lies in L+(l+(f)) or L-(l-(f)) for f in lam."""
+    return _partially_reduced(_Table(alg), g, _check_generators(alg, lam), max_gap)
+
+
+def _partially_reduced(table, g, lam, max_gap):
+    """is_partially_reduced for checked generators lam, its decisions made
+    through table, taking g's variables in basis order."""
+    alg = table.alg
+    leaders = [(f.leader(PLUS), f.leader(MINUS)) for f in lam]
     return not any(is_member(alg, lp, v, PLUS, max_gap, table=table)
                    or is_member(alg, lm, v, MINUS, max_gap, table=table)
                    for v in sorted(g.variables(), key=lambda b: order_key(alg, b))
@@ -104,7 +106,7 @@ def is_reduced(alg, g, lam, max_gap=DEFAULT_MAX_GAP):
     """Partially reduced, and each upper leader of a generator appears in
     g only below that generator's leader degree."""
     lam = _check_generators(alg, lam)
-    return is_partially_reduced(alg, g, lam, max_gap) and _below_leader_degrees(g, lam)
+    return _partially_reduced(_Table(alg), g, lam, max_gap) and _below_leader_degrees(g, lam)
 
 
 def _below_leader_degrees(g, lam):
@@ -115,10 +117,16 @@ def _below_leader_degrees(g, lam):
 
 def is_reduced_sequence(alg, lam, max_gap=DEFAULT_MAX_GAP):
     """Each generator is reduced with respect to all the others."""
-    lam = _check_generators(alg, lam)
+    return _reduced_sequence(_Table(alg), _check_generators(alg, lam), max_gap)
+
+
+def _reduced_sequence(table, lam, max_gap):
+    """is_reduced_sequence for checked generators lam, its decisions made
+    through table."""
     for i, g in enumerate(lam):
         rest = lam[:i] + lam[i + 1 :]
-        if rest and not is_reduced(alg, g, rest, max_gap):
+        if rest and not (_partially_reduced(table, g, rest, max_gap)
+                         and _below_leader_degrees(g, rest)):
             return False
     return True
 
@@ -277,9 +285,9 @@ def partial_reduce(alg, g, lam, max_gap=DEFAULT_MAX_GAP, max_steps=DEFAULT_MAX_S
 def full_reduce(alg, g, lam, max_gap=DEFAULT_MAX_GAP, max_steps=DEFAULT_MAX_STEPS):
     """Fully reduce g modulo a reduced sequence lam."""
     lam = _check_generators(alg, lam)
-    if not is_reduced_sequence(alg, lam, max_gap):
-        raise NotReducedSequence("generators do not form a reduced sequence")
     red = _Reducer(alg, g, lam, max_gap, max_steps)
+    if not _reduced_sequence(red.table, lam, max_gap):
+        raise NotReducedSequence("generators do not form a reduced sequence")
     red.partial_fixpoint()
     for _ in range(len(lam) + 2):
         # Upper ranks in a reduced sequence are distinct: equal leaders and

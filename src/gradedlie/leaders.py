@@ -23,8 +23,8 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from operator import sub
+from typing import NamedTuple
 
 from .algebras import (
     bracket_basis,
@@ -52,8 +52,7 @@ class ZeroLeader(ValueError):
     """Dominance condition queried for a tuple that annihilates M."""
 
 
-@dataclass
-class MembershipReport:
+class MembershipReport(NamedTuple):
     """Outcome of a decision procedure, with evidence where available."""
 
     verdict: bool

@@ -38,9 +38,9 @@ component, whole or grouped by multidegree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
+from typing import NamedTuple
 
 from .algebras import (
     MINUS,
@@ -399,53 +399,50 @@ def poisson_bracket(f, g):
     return f._with_terms(_over(acc, df * dg * den))
 
 
-@dataclass(frozen=True, slots=True)
-class DTuple:
+class _DTupleFields(NamedTuple):
+    alg: object
+    entries: tuple
+    sign: str
+
+
+class DTuple(_DTupleFields):
     """The tuple t of the operator D_t over the algebra alg: a nonempty
     tuple of basis elements of alg, all of positive degree (sign "+") or
     all of negative degree (sign "-").
 
-    Making one checks each entry once and reads the sign from the first
-    entry's degree; d_op and d_leader then only check that t.alg is theirs.
-    leaders.iter_tuples makes its tuples through _trusted_dtuple instead,
-    without checking them again: it draws each entry, at a degree of the
-    tuple's sign, from an enumerate_component list of its table, whole or
-    grouped by multidegree.
+    Making one, DTuple(alg, entries), checks each entry once and reads the
+    sign from the first entry's degree; d_op and d_leader then only check
+    that t.alg is theirs.  leaders.iter_tuples makes its tuples through
+    _trusted_dtuple instead, without checking them again: it draws each
+    entry, at a degree of the tuple's sign, from an enumerate_component
+    list of its table, whole or grouped by multidegree.  _replace and
+    _make check nothing either.
     """
 
-    alg: object
-    entries: tuple
-    sign: str = field(init=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.entries:
+    def __new__(cls, alg, entries):
+        if not entries:
             raise ValueError("empty tuple")
-        alg, sign = self.alg, None
-        for b in self.entries:
+        sign = None
+        for b in entries:
             validate_element(alg, b)
             d = degree(alg, b)
             if sign is None:
                 sign = PLUS if d > 0 else MINUS
             if d == 0 or (d > 0) != (sign == PLUS):
                 raise ValueError("%r tuple entry of degree %d" % (sign, d))
-        object.__setattr__(self, "sign", sign)
+        return tuple.__new__(cls, (alg, entries, sign))
 
-
-_set_alg, _set_entries, _set_sign = (
-    DTuple.alg.__set__, DTuple.entries.__set__, DTuple.sign.__set__
-)
+    def __getnewargs__(self):
+        # copy and pickle make the tuple again from its two arguments.
+        return self.alg, self.entries
 
 
 def _trusted_dtuple(alg, entries, sign):
     """The DTuple of entries and sign over alg, made without a check: each
-    entry must be a basis element of alg whose degree has that sign.  The
-    slots are set through their descriptors, which the frozen dataclass's
-    __setattr__ does not guard."""
-    t = object.__new__(DTuple)
-    _set_alg(t, alg)
-    _set_entries(t, entries)
-    _set_sign(t, sign)
-    return t
+    entry must be a basis element of alg whose degree has that sign."""
+    return tuple.__new__(DTuple, (alg, entries, sign))
 
 
 def pb_with_var(f, b):

@@ -89,6 +89,28 @@ class TestAlgebraSpec:
         with pytest.raises(ValueError):
             AlgebraSpec("Heisenberg")
 
+    @pytest.mark.parametrize("args, message", [
+        (("Heisenberg",), "unknown algebra family: 'Heisenberg'"),
+        (("Witt", 2), "Witt takes no rank parameter"),
+        (("CartanW",), "CartanW requires a rank n >= 2"),
+        (("CartanW", 1), "CartanW requires a rank n >= 2"),
+        (("HamiltonianH", 3), "HamiltonianH requires an even rank n >= 2"),
+        (("ContactK", 4), "ContactK requires an odd rank n >= 3"),
+    ])
+    def test_refusals_keep_their_messages(self, args, message):
+        with pytest.raises(ValueError) as info:
+            AlgebraSpec(*args)
+        assert str(info.value) == message
+
+    def test_a_record_of_its_fields(self):
+        spec = AlgebraSpec("CartanW", 2)
+        assert repr(spec) == "AlgebraSpec(family='CartanW', n=2)"
+        assert repr(AlgebraSpec("Witt")) == "AlgebraSpec(family='Witt', n=None)"
+        assert (spec.family, spec.n) == ("CartanW", 2)
+        assert spec == AlgebraSpec(family="CartanW", n=2)
+        assert hash(spec) == hash(("CartanW", 2))
+        assert spec != AlgebraSpec("CartanW", 3)
+
     def test_name_round_trip(self):
         names = [
             "witt",

@@ -1,9 +1,12 @@
 """The summary of scripts/bench_pairs.py on synthetic pairs of runs, the
-byte-compiling of each checkout before the first pair, and the one seed
-syntax that it shares with ab_pass.py and output_digest.py."""
+byte-compiling of each checkout before the first pair, its BENCH file and
+import-time parser on canned input, and the one seed syntax that it
+shares with ab_pass.py and output_digest.py."""
 
 import importlib.util
+import json
 import os
+import platform
 import struct
 
 import pytest
@@ -150,3 +153,59 @@ def test_stale_bytecode_is_rewritten_without_bytecode_writes(script, monkeypatch
     os.utime(source, (2_000_000, 2_000_000))
     script.compile_sources(str(tmp_path))
     assert recorded_mtime() == 2_000_000
+
+
+IMPORTTIME = """\
+import time: self [us] | cumulative | imported package
+import time:      1443 |       3346 |       fractions
+import time:       835 |       1658 |       gradedlie.leaders
+import time:       409 |      11119 |   gradedlie
+import time:       675 |      11793 | gradedlie.cli
+import time:        12 |         12 | gradedliex
+"""
+
+
+def test_importtime_keeps_the_package_modules(script):
+    assert script.parse_importtime(IMPORTTIME) == {
+        "gradedlie.leaders": [835, 1658], "gradedlie": [409, 11119],
+        "gradedlie.cli": [675, 11793]}
+    assert script.parse_importtime("Traceback (most recent call last):\n") == {}
+
+
+def test_import_medians_are_taken_per_module(script):
+    samples = [{"gradedlie": [1, 10], "gradedlie.cli": [5, 50]},
+               {"gradedlie": [3, 30], "gradedlie.cli": [6, 60]},
+               {"gradedlie": [2, 20]}]
+    assert script.median_import_times(samples) == {"gradedlie": [2, 20]}
+    assert script.median_import_times([]) == {}
+
+
+def test_json_keeps_one_entry_per_workload(script, monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(script, "compile_sources", lambda d: None)
+    imports = {"P": [1000, 9000], "C": [500, 4000]}
+    monkeypatch.setattr(script, "import_once",
+                        lambda d: {"gradedlie.cli": imports[d]})
+
+    def run_once(checkout, workload, seed, seconds):
+        return {"metrics": {"setup_s": {"value": 0.02 if checkout == "P" else 0.01}},
+                "failed": 0, "attempted": 3, "correct": True}
+
+    monkeypatch.setattr(script, "run_once", run_once)
+    path = tmp_path / "BENCH.json"
+    for workload in ("lemma", "reduce"):
+        assert script.main(["P", "C", "--workload", workload, "--seeds", "1-2",
+                            "--seconds", "1", "--json", str(path)]) == 0
+    capsys.readouterr()
+    doc = json.loads(path.read_text())
+    assert sorted(doc["workloads"]) == ["lemma", "reduce"]
+    entry = doc["workloads"]["reduce"]
+    assert (entry["seeds"], entry["seconds"], entry["cpu_count"]) == ([1, 2], 1, os.cpu_count())
+    assert entry["python"] == platform.python_version()
+    assert entry["attempted"] == {"parent": 6, "change": 6}
+    [row] = entry["rows"]
+    assert (row["metric"], row["wins"], row["gain"]) == ("setup_s", 2, True)
+    assert entry["pairs"][1] == {"seed": 2, "parent": {"setup_s": 0.02},
+                                 "change": {"setup_s": 0.01}}
+    assert entry["import_us"] == {"runs": script.IMPORT_RUNS,
+                                  "parent": {"gradedlie.cli": [1000, 9000]},
+                                  "change": {"gradedlie.cli": [500, 4000]}}

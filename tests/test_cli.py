@@ -204,6 +204,12 @@ class TestErrorHandling:
         code, _, _ = run(capsys, "--alg", "witt+", "pbracket", "e[0]", "e[2]")
         assert code == 2
 
+    def test_foreign_element_names_the_algebra_by_its_repr(self, capsys):
+        code, out, err = run(capsys, "--alg", "cartan-w:2", "bracket", "e[1]", "e[2]")
+        assert (code, out) == (2, "")
+        assert err == ("error: not a basis element of AlgebraSpec(family='CartanW', n=2): "
+                       "('e', 1) (at position 0)\n")
+
     def test_guard_trip(self, capsys):
         code, _, err = run(
             capsys,
@@ -378,6 +384,15 @@ def python(code, *args, timeout=120, **kw):
     prelude = "import sys; sys.path.insert(0, %r); " % SRC
     return subprocess.run([sys.executable, "-I", "-c", prelude + code, *args], timeout=timeout,
                           **kw)
+
+
+def test_import_leaves_out_the_code_generating_modules():
+    # The records are NamedTuples: importing the CLI loads no dataclasses,
+    # nor what dataclasses imports for its generated methods.
+    proc = python("import gradedlie.cli; print(sorted({'dataclasses', 'inspect', 'ast', 'dis'}"
+                  " & set(sys.modules)))", capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 class TestHashOrder:

@@ -1,6 +1,5 @@
 """Reduction predicates, the elimination algorithm, and certificates."""
 
-import dataclasses
 import os
 import random
 import subprocess
@@ -204,14 +203,33 @@ class TestFullReduce:
         # is_reduced_sequence decides each generator against the other
         # once; after the last partial fixpoint only degrees are checked.
         calls = []
-        decide = elim.is_partially_reduced
-        monkeypatch.setattr(elim, "is_partially_reduced",
+        decide = elim._partially_reduced
+        monkeypatch.setattr(elim, "_partially_reduced",
                             lambda *args: calls.append(args[1]) or decide(*args))
         lam = (P(WITT_POS, "e[1]^2"), P(WITT_POS, "e[2]^2"))
         remainder, cert = full_reduce(WITT_POS, P(WITT_POS, "e[1]^2*e[2] + e[3]"), lam)
         assert calls == list(lam)
         assert is_reduced(WITT_POS, remainder, lam) is True
         assert verify_certificate(WITT_POS, cert) is True
+
+    def test_one_table_per_call(self, monkeypatch):
+        # The sequence check decides through the reducer's own table.
+        made = []
+
+        class Spy(elim._Table):
+            __slots__ = ()
+
+            def __init__(self, alg):
+                made.append(alg)
+                super().__init__(alg)
+
+        monkeypatch.setattr(elim, "_Table", Spy)
+        lam = (P(WITT_POS, "e[1]^2"), P(WITT_POS, "e[2]^2"))
+        remainder, cert = full_reduce(WITT_POS, P(WITT_POS, "e[1]^2*e[2] + e[3]"), lam)
+        assert made == [WITT_POS]
+        assert verify_certificate(WITT_POS, cert) is True
+        assert is_reduced_sequence(WITT_POS, lam) is True
+        assert made == [WITT_POS] * 2
 
     def test_rejects_unreduced_sequence(self):
         with pytest.raises(NotReducedSequence):
@@ -339,10 +357,14 @@ class TestCertificates:
 
     def test_tampered_remainder_rejected(self):
         cert = self.make_cert()
-        bad = dataclasses.replace(
-            cert, remainder=Polynomial.const(WITT_POS, Fraction(1))
-        )
+        bad = cert._replace(remainder=Polynomial.const(WITT_POS, Fraction(1)))
         assert verify_certificate(WITT_POS, bad) is False
+
+    def test_certificates_compare_by_value(self):
+        first, second = self.make_cert(), self.make_cert()
+        assert first is not second and first == second
+        assert first.terms[0] == second.terms[0]
+        assert first._replace(remainder=Polynomial.const(WITT_POS, Fraction(1))) != second
 
     def test_wrong_algebra_rejected(self):
         cert = self.make_cert()

@@ -1,6 +1,8 @@
 """Sparse polynomials, leaders, ranks, Poisson brackets, D-operators."""
 
+import copy
 import operator
+import pickle
 import random
 import sys
 from fractions import Fraction
@@ -23,7 +25,7 @@ from gradedlie import (
     poisson_bracket,
 )
 from gradedlie.algebras import Z, algebra_to_str, dh, e, sa, sb
-from gradedlie.poly import mono, pb_with_var
+from gradedlie.poly import _trusted_dtuple, mono, pb_with_var
 from helpers import (
     ALL_ALGEBRAS, H2, H4, P, S2, S3, VIR, W2, WITT, WITT_POS, random_poly, window_basis,
 )
@@ -514,6 +516,26 @@ class TestDTuple:
                             lambda alg, b: seen.append(b) or check(alg, b))
         DTuple(WITT, (e(1), e(2), e(1)))
         assert seen == [e(1), e(2), e(1)]
+
+    def test_trusted_tuple_equals_the_checked_one(self):
+        for alg, entries in [(WITT, (e(1), e(2), e(1))), (WITT, (e(-3),)),
+                             (H2, (dh((0, 1)), dh((1, 0))))]:
+            t = DTuple(alg, entries)
+            trusted = _trusted_dtuple(alg, t.entries, t.sign)
+            assert type(trusted) is DTuple
+            assert trusted == t and hash(trusted) == hash(t) and repr(trusted) == repr(t)
+
+    def test_copies_are_made_through_the_check(self, monkeypatch):
+        t = DTuple(WITT, (e(1), e(2)))
+        assert repr(t) == ("DTuple(alg=AlgebraSpec(family='Witt', n=None), "
+                           "entries=(('e', 1), ('e', 2)), sign='+')")
+        assert copy.copy(t) == t and pickle.loads(pickle.dumps(t)) == t
+        seen = []
+        check = gradedlie.poly.validate_element
+        monkeypatch.setattr(gradedlie.poly, "validate_element",
+                            lambda alg, b: seen.append(b) or check(alg, b))
+        assert copy.deepcopy(t) == t
+        assert seen == [e(1), e(2)]
 
     def test_other_algebra_refused(self):
         t = DTuple(WITT_POS, (e(2),))
