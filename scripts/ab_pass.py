@@ -5,12 +5,11 @@
 Each checkout's src/gradedlie is copied into a temporary directory under
 its own package name (gradedlie_parent, gradedlie_change), and the
 `cli.main` of each is imported into this one interpreter.  A rep runs
-every command of the seeds' passes, as perfbench/workloads.py beside this
-script builds them, once on each side, as
-`main(["--format", "json", ...])`.  The side that runs first alternates
-from command to command and from rep to rep.  Each run is timed with
-`time.process_time()`, and both sides must give the same exit code and
-stdout; the first difference is printed and the script exits 1.
+every command of the seeds' pass (scripts/passes.py) once on each side.
+The side that runs first alternates from command to command and from rep
+to rep.  Each run is timed in CPU seconds, and both sides must give the
+same exit code and stdout; the first difference is printed and the
+script exits 1.
 
 The report gives each rep's CPU totals and ratio, the median change/parent
 ratio over the reps, and the number of reps in which the change took less
@@ -22,21 +21,14 @@ benchmark's own end-to-end metrics stay with scripts/bench_pairs.py.
 """
 
 import argparse
-import contextlib
 import importlib
-import io
 import os
 import shutil
 import statistics
 import sys
 import tempfile
-import time
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-sys.path[:0] = [os.path.join(ROOT, "scripts"), os.path.join(ROOT, "perfbench")]
-
-from bench_pairs import parse_seeds  # noqa: E402
-from workloads import WORKLOADS  # noqa: E402
+from passes import WORKLOADS, commands, parse_seeds, run
 
 SIDES = ("parent", "change")
 
@@ -58,16 +50,6 @@ def load_mains(checkouts, tmp):
         sys.path.remove(tmp)
 
 
-def run(main, argv):
-    """(exit code, stdout, CPU seconds) of one command."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        start = time.process_time()
-        rc = main(["--format", "json"] + argv)
-        cpu = time.process_time() - start
-    return rc, out.getvalue(), cpu
-
-
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("parent", help="checkout directory of the parent commit")
@@ -82,14 +64,14 @@ def main(argv=None):
         seeds = parse_seeds(args.seeds)
     except ValueError as exc:
         ap.error(str(exc))
-    commands = [op.argv for seed in seeds for op in WORKLOADS[args.workload](seed)]
+    argvs = commands(args.workload, seeds)
 
     with tempfile.TemporaryDirectory() as tmp:
         mains = load_mains((args.parent, args.change), tmp)
         ratios = []
         for rep in range(args.reps):
             cpu = [0.0, 0.0]
-            for k, command in enumerate(commands):
+            for k, command in enumerate(argvs):
                 got = [None, None]
                 for side in ((0, 1) if (k + rep) % 2 == 0 else (1, 0)):
                     rc, out, seconds = run(mains[side], command)
@@ -105,7 +87,7 @@ def main(argv=None):
                   % (rep + 1, cpu[0], cpu[1], ratios[-1]), flush=True)
     won = sum(1 for r in ratios if r < 1)
     print("%s, seeds %s, %d commands per rep: median change/parent %.3f, change faster in"
-          " %d of %d reps" % (args.workload, args.seeds, len(commands),
+          " %d of %d reps" % (args.workload, args.seeds, len(argvs),
                               statistics.median(ratios), won, len(ratios)))
     return 0
 

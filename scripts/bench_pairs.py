@@ -36,9 +36,9 @@ import statistics
 import subprocess
 import sys
 
-IMPORT_RUNS = 11
+from passes import ROOT, WORKLOADS, parse_seeds
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+IMPORT_RUNS = 11
 
 
 def quartiles(values):
@@ -155,29 +155,11 @@ def write_entry(path, workload, entry):
         fh.write("\n")
 
 
-def parse_seeds(text):
-    """The seeds of a comma-separated list of seeds and ranges, e.g. '1,2,3',
-    '401-410' or '1-3,7'.  A malformed item, or a range whose end is below
-    its start, raises ValueError."""
-    seeds = []
-    for item in text.split(","):
-        lo, dash, hi = item.partition("-")
-        try:
-            lo = int(lo)
-            hi = int(hi) if dash else lo
-        except ValueError:
-            raise ValueError("--seeds: %r is not a seed or a range lo-hi" % item) from None
-        if hi < lo:
-            raise ValueError("--seeds: the range %r is empty" % item)
-        seeds += range(lo, hi + 1)
-    return seeds
-
-
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("parent", help="checkout directory of the parent commit")
     ap.add_argument("change", help="checkout directory of the change")
-    ap.add_argument("--workload", required=True)
+    ap.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
     ap.add_argument("--seeds", required=True, help="seeds and ranges, e.g. 401-410")
     ap.add_argument("--seconds", type=float, required=True)
     ap.add_argument("--json", metavar="FILE", help="write this workload's entry of FILE")

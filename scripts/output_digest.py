@@ -2,44 +2,33 @@
 
     python scripts/output_digest.py --workload reduce --seeds 1,2,3
 
-For each seed in turn, the command list of perfbench/workloads.py is built,
-and each command runs in this process as
-`gradedlie.cli.main(["--format", "json", ...])`, as the benchmark sends it.
-The digest covers every command's exit code and stdout, in order, so two
-source trees whose digests agree printed the same bytes for every command.
-The package is imported from the src/ beside this script.
+Each command of the seeds' pass runs in this process through
+scripts/passes.py, as the benchmark sends it.  The digest covers every
+command's exit code and stdout, in order, so two source trees whose
+digests agree printed the same bytes for every command.  The package is
+imported from the src/ beside this script.
 """
 
 import argparse
-import contextlib
 import hashlib
-import io
 import os
 import sys
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "scripts"),
-                os.path.join(ROOT, "perfbench")]
-
-from bench_pairs import parse_seeds  # noqa: E402
+from passes import ROOT, WORKLOADS, commands, parse_seeds, run
+sys.path.insert(0, os.path.join(ROOT, "src"))
 from gradedlie.cli import main as cli_main  # noqa: E402
-from workloads import WORKLOADS  # noqa: E402
 
 
 def digest(workload, seeds):
     """(number of commands, hex sha256 over their exit codes and stdout)."""
     h = hashlib.sha256()
-    count = 0
-    for seed in seeds:
-        for op in WORKLOADS[workload](seed):
-            out = io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-                rc = cli_main(["--format", "json"] + op.argv)
-            for part in (str(rc), out.getvalue()):
-                data = part.encode()
-                h.update(b"%d:" % len(data) + data)
-            count += 1
-    return count, h.hexdigest()
+    argvs = commands(workload, seeds)
+    for argv in argvs:
+        rc, out, _ = run(cli_main, argv)
+        for part in (str(rc), out):
+            data = part.encode()
+            h.update(b"%d:" % len(data) + data)
+    return len(argvs), h.hexdigest()
 
 
 def main(argv=None):

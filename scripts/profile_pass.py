@@ -2,9 +2,8 @@
 
     python scripts/profile_pass.py --workload reduce --seed 1 [--sort tottime] [--limit 25]
 
-The command list of perfbench/workloads.py is built for the seed, and each
-command runs in this process as `gradedlie.cli.main(["--format", "json",
-...])`, as scripts/output_digest.py runs it, with its stdout and stderr
+Each command of the seed's pass runs in this process through
+scripts/passes.py, as scripts/output_digest.py runs it, with its output
 discarded.  The profile covers the pass only, not the imports; the report
 is the standard `pstats` table, sorted by the given key and cut to the
 given number of rows, after one line with the command count and the
@@ -13,33 +12,27 @@ src/ beside this script.
 """
 
 import argparse
-import contextlib
 import cProfile
-import io
 import os
 import pstats
 import sys
 import time
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
-
+from passes import ROOT, WORKLOADS, commands, run
+sys.path.insert(0, os.path.join(ROOT, "src"))
 from gradedlie.cli import main as cli_main  # noqa: E402
-from workloads import WORKLOADS  # noqa: E402
 
 SORT_KEYS = ("tottime", "cumtime", "ncalls")
 
 
 def profile_pass(workload, seed):
     """(number of commands, wall seconds, cProfile.Profile) of one pass."""
-    ops = WORKLOADS[workload](seed)
+    argvs = commands(workload, [seed])
     prof = cProfile.Profile()
     start = time.perf_counter()
-    for op in ops:
-        sink = io.StringIO()
-        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
-            prof.runcall(cli_main, ["--format", "json"] + op.argv)
-    return len(ops), time.perf_counter() - start, prof
+    for argv in argvs:
+        run(lambda a: prof.runcall(cli_main, a), argv)
+    return len(argvs), time.perf_counter() - start, prof
 
 
 def main(argv=None):

@@ -651,6 +651,14 @@ def _claims_s(alg, tag, bound):
                     yield M, ("sb", r, k)
 
 
+def _raised(M, l, rmin, bound):
+    """(M, T) for each T that raises entry l of M's index by rmin up to
+    bound - i_l."""
+    kind, i = M
+    for r in range(rmin, bound - i[l] + 1):
+        yield M, (kind, i[:l] + (i[l] + r,) + i[l + 1:])
+
+
 def _claims_h(alg, tag, bound):
     n = alg.n
     m = n // 2
@@ -665,11 +673,7 @@ def _claims_h(alg, tag, bound):
                 continue
             if tag == "H_2" and not (equal and i[l] != 0):
                 continue
-            rmin = 1 if tag == "H_1" else 2
-            for r in range(rmin, bound - i[l] + 1):
-                t = list(i)
-                t[l] += r
-                yield M, ("dh", tuple(t))
+            yield from _raised(M, l, 1 if tag == "H_1" else 2, bound)
 
 
 def _claims_k(alg, tag, bound):
@@ -681,19 +685,11 @@ def _claims_k(alg, tag, bound):
             for l in range(n - 1):
                 partner = l + m if l < m else l - m
                 equal = i[l] == 2 * i[partner]
-                rmin = 2 if equal else 1
                 if equal and i[l] == 0:
                     continue
-                for r in range(rmin, bound - i[l] + 1):
-                    t = list(i)
-                    t[l] += r
-                    yield M, ("dk", tuple(t))
+                yield from _raised(M, l, 2 if equal else 1, bound)
         else:
-            rmin = 2 if sum(i) == 2 else 1
-            for r in range(rmin, bound - i[-1] + 1):
-                t = list(i)
-                t[-1] += r
-                yield M, ("dk", tuple(t))
+            yield from _raised(M, n - 1, 2 if sum(i) == 2 else 1, bound)
 
 
 _LEMMA_FAMILIES = {

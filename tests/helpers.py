@@ -1,7 +1,12 @@
 """Shared constants and small utilities for the test suite."""
 
+import importlib.util
+import os
 import random
+import sys
 from fractions import Fraction
+
+import pytest
 
 from gradedlie import AlgebraSpec, Polynomial, is_reduced_sequence, parse_poly
 from gradedlie.algebras import degree, e, elements_in_window
@@ -43,6 +48,25 @@ WINDOWS = {
     SL2: (-4, 6),
     EXD: (1, 6),
 }
+
+
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+SCRIPTS = os.path.join(ROOT, "scripts")
+
+
+def load_script(name):
+    """A fresh module of scripts/<name>.py; scripts/ goes on sys.path for passes.py."""
+    if SCRIPTS not in sys.path:
+        sys.path.insert(0, SCRIPTS)
+    spec = importlib.util.spec_from_file_location(name, os.path.join(SCRIPTS, name + ".py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def script_fixture(name):
+    """A module-scoped fixture `script` of load_script(name)."""
+    return pytest.fixture(scope="module", name="script")(lambda: load_script(name))
 
 
 def P(alg, s):

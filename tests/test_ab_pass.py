@@ -2,23 +2,15 @@
 whose CLI prints something else is reported as a difference."""
 
 import contextlib
-import importlib.util
 import io
 import os
 import shutil
 
 import pytest
 
-ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+from helpers import ROOT, script_fixture
 
-
-@pytest.fixture(scope="module")
-def script():
-    spec = importlib.util.spec_from_file_location(
-        "ab_pass", os.path.join(ROOT, "scripts", "ab_pass.py"))
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+script = script_fixture("ab_pass")
 
 
 def run(script, parent, change):

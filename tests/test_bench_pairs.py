@@ -1,7 +1,7 @@
 """The summary of scripts/bench_pairs.py on synthetic pairs of runs, the
 byte-compiling of each checkout before the first pair, its BENCH file and
-import-time parser on canned input, and the one seed syntax that it
-shares with ab_pass.py and output_digest.py."""
+import-time parser on canned input, and the driver scripts/passes.py: one
+seed syntax, workload list and command run for all four scripts."""
 
 import importlib.util
 import json
@@ -11,20 +11,10 @@ import struct
 
 import pytest
 
-ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+from gradedlie.cli import main as cli_main
+from helpers import load_script, script_fixture
 
-
-def load_script(name):
-    spec = importlib.util.spec_from_file_location(
-        name, os.path.join(ROOT, "scripts", name + ".py"))
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-@pytest.fixture(scope="module")
-def script():
-    return load_script("bench_pairs")
+script = script_fixture("bench_pairs")
 
 
 BETTER = {"ops_per_s": "higher", "op_p50_ms": "lower"}
@@ -106,6 +96,26 @@ def test_an_empty_seed_range_is_a_usage_error(name, argv, capsys):
         module.main(argv + ["--seeds", "5-1"])
     assert info.value.code == 2
     assert "the range '5-1' is empty" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("bench_pairs", ["P", "C", "--seeds", "1", "--seconds", "1"]),
+    ("ab_pass", ["P", "C", "--seeds", "1"]),
+    ("output_digest", ["--seeds", "1"]),
+    ("profile_pass", ["--seed", "1"]),
+])
+def test_an_unknown_workload_is_a_usage_error(name, argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        load_script(name).main(argv + ["--workload", "lemmas"])
+    assert info.value.code == 2
+    assert "invalid choice: 'lemmas'" in capsys.readouterr().err
+
+
+def test_the_driver_runs_a_failing_command_quietly(capsys):
+    passes = load_script("passes")
+    assert passes.run(cli_main, ["no-such-command"])[:2] == (2, "")
+    assert capsys.readouterr() == ("", "")
+    assert len(passes.commands("search", [1])) == 23
 
 
 def test_output_digest_reads_a_range_as_its_list(capsys):

@@ -1,6 +1,5 @@
 """Leader-set decision procedures, Dicksonian checks, structural probes."""
 
-import importlib.util
 import itertools
 import os
 import tracemalloc
@@ -48,6 +47,7 @@ from helpers import (
     H2,
     K3,
     MULTIGRADED_WINDOWS,
+    ROOT,
     S2,
     S3,
     SL2,
@@ -58,10 +58,9 @@ from helpers import (
     WINDOWS,
     WITT,
     WITT_POS,
+    load_script,
     multidegree,
 )
-
-ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 
 
 def sorted_tuples(alg, d, sign):
@@ -613,13 +612,9 @@ class TestLeaderRelationsTransitive:
 
 class TestSearchTable:
     def test_small_rows_match_the_readme(self):
-        path = os.path.join(ROOT, "scripts", "search_table.py")
-        spec = importlib.util.spec_from_file_location("search_table", path)
-        script = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(script)
         with open(os.path.join(ROOT, "README.md")) as fh:
             readme = fh.read().splitlines()
-        lines = script.table(max_degree=5)
+        lines = load_script("search_table").table(max_degree=5)
         assert len(lines) == 2 + 6
         for line in lines:
             assert line in readme

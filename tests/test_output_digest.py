@@ -2,21 +2,11 @@
 benchmark workload.  A change that alters an output on purpose updates
 its digest here and says why in CHANGES.md."""
 
-import importlib.util
-import os
-
 import pytest
 
-ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+from helpers import script_fixture
 
-
-@pytest.fixture(scope="module")
-def script():
-    spec = importlib.util.spec_from_file_location(
-        "output_digest", os.path.join(ROOT, "scripts", "output_digest.py"))
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+script = script_fixture("output_digest")
 
 
 @pytest.mark.parametrize("workload, commands, sha256", [

@@ -4,23 +4,15 @@ a check that pstats can tell every function of the package apart."""
 import collections
 import contextlib
 import glob
-import importlib.util
 import io
 import os
 import types
 
 import pytest
 
-ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+from helpers import ROOT, script_fixture
 
-
-@pytest.fixture(scope="module")
-def script():
-    spec = importlib.util.spec_from_file_location(
-        "profile_pass", os.path.join(ROOT, "scripts", "profile_pass.py"))
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+script = script_fixture("profile_pass")
 
 
 def test_profiles_one_search_pass(script):
