@@ -32,7 +32,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .algebras import order_key
-from .leaders import DEFAULT_MAX_GAP, _Table, is_member, iter_witnesses
+from .leaders import DEFAULT_MAX_GAP, _Table, _witnesses, is_member
 from .poly import DTuple, MINUS, PLUS, Polynomial, d_bracket, d_op
 
 DEFAULT_MAX_STEPS = 10**6
@@ -172,7 +172,7 @@ class _Reducer:
                         reverse=sign == PLUS):
             for fi in self.order:
                 lf = self.leaders[fi][sign]
-                for t in iter_witnesses(self.alg, lf, v, sign, self.max_gap, table=self.table):
+                for t in _witnesses(self.table, lf, v, sign, self.max_gap):
                     return self._prepare(fi, v, t, sign)
         return None
 

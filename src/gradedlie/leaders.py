@@ -232,20 +232,25 @@ def l_condition_holds(alg, M, t):
 def iter_witnesses(alg, M, T, sign, max_gap=DEFAULT_MAX_GAP, *, table=None):
     """Tuples t with iterated leader T and the dominance condition, in
     iter_tuples order, decided through the table (a fresh one if table is
-    None).  M and T are checked first.  On a family with a grading finer
-    than the degree, D_t(M) is homogeneous of multidegree mdeg(M) plus
-    the entries' multidegrees, so only the tuples whose entries sum to
-    mdeg(T) - mdeg(M) are walked.  M's rivals are counted, and T's order
-    key taken, once: the first time a tuple's leader is T."""
+    None).  The sign, M and T are checked first."""
     _check_sign(sign)
     validate_element(alg, M)
     validate_element(alg, T)
+    yield from _witnesses(_Table(alg) if table is None else table, M, T, sign, max_gap)
+
+
+def _witnesses(table, M, T, sign, max_gap):
+    """iter_witnesses for checked M, T and sign, through table.  On a
+    family with a grading finer than the degree, D_t(M) is homogeneous of
+    multidegree mdeg(M) plus the entries' multidegrees, so only the tuples
+    whose entries sum to mdeg(T) - mdeg(M) are walked.  M's rivals are
+    counted, and T's order key taken, once: the first time a tuple's
+    leader is T."""
+    alg = table.alg
     dM = degree(alg, M)
     gap = degree(alg, T) - dM
     if gap == 0 or (gap > 0) != (sign == PLUS):
         return
-    if table is None:
-        table = _Table(alg)
     grading = table.grading
     target = grading and tuple(map(sub, grading(alg, T), grading(alg, M)))
     count = None
@@ -259,11 +264,14 @@ def iter_witnesses(alg, M, T, sign, max_gap=DEFAULT_MAX_GAP, *, table=None):
 
 
 def l_member(alg, M, T, sign, max_gap=DEFAULT_MAX_GAP, *, table=None):
-    """Decide T in L+(M) (sign "+") or T in L-(M) (sign "-").  The witness
-    is the first tuple of iter_witnesses, which checks M, T and the sign;
+    """Decide T in L+(M) (sign "+") or T in L-(M) (sign "-").  The sign, M
+    and T are checked, and the witness is the first tuple of _witnesses;
     the decision shares the table (a fresh one if table is None) with the
     others of the caller."""
-    for t in iter_witnesses(alg, M, T, sign, max_gap, table=table):
+    _check_sign(sign)
+    validate_element(alg, M)
+    validate_element(alg, T)
+    for t in _witnesses(_Table(alg) if table is None else table, M, T, sign, max_gap):
         return MembershipReport(True, witness=t)
     gap = degree(alg, T) - degree(alg, M)
     if gap == 0 or (gap > 0) != (sign == PLUS):
@@ -587,121 +595,91 @@ def check_cofinite_window(alg, M, window, max_gap=DEFAULT_MAX_GAP):
 # Per-family leader-set inclusions
 
 
-def _indices_bounded(n, bound):
-    return itertools.product(range(bound + 1), repeat=n)
+def _above(i, bound):
+    """Every r >= i entrywise with r != i and entries up to bound, in lex order."""
+    ranges = [range(a, bound + 1) for a in i]
+    return itertools.islice(itertools.product(*ranges), 1, None)  # i comes first
 
 
-def _gt(r, i):
-    return all(a >= b for a, b in zip(r, i)) and r != i
+def _raises(i, bound):
+    """i raised in one entry l by a >= 1 up to bound, by l and then by a."""
+    for l, a in enumerate(i):
+        for b in range(a + 1, bound + 1):
+            yield i[:l] + (b,) + i[l + 1:]
 
 
-def _claims_w(alg, tag, bound):
-    n = alg.n
-    for i in _indices_bounded(n, bound):
-        for k in range(1, n + 1):
-            prefix_zero = not any(i[:k - 1])
-            if tag == "W_i" and prefix_zero:
-                continue
-            if tag == "W_ii" and not prefix_zero:
-                continue
-            M = ("w", i, k)
-            for r in _indices_bounded(n, bound):
-                if not _gt(r, i):
-                    continue
-                if tag == "W_ii":
-                    if any(r[:k - 1]):
-                        continue
-                    if r[k - 1] == 2 * i[k - 1] - 1 and not (
-                        i[k - 1] == 1 and any(i[j] for j in range(n) if j != k - 1)
-                    ):
-                        continue
-                yield M, ("w", r, k)
-
-
-def _claims_s(alg, tag, bound):
-    n = alg.n
-    for i in _indices_bounded(n, bound):
-        if tag == "S_i":
-            if i[0] != 0:
-                continue
-            M = ("sa", i)
-            for r in _indices_bounded(n, bound):
-                if _gt(r, i) and r[0] == 0:
-                    yield M, ("sa", r)
-        else:
-            if i[0] < 1:
-                continue
-            for k in range(2, n + 1):
-                M = ("sb", i, k)
-                for r in _indices_bounded(n, bound):
-                    if not _gt(r, i):
-                        continue
-                    if sum(r[1:]) - sum(i[1:]) == 1:
-                        continue
-                    # r = i + 1_1 has degree gap 1, so every tuple is a single
-                    # entry, and on S_2 only SB[2,1;2] raises i_1 alone.
-                    # Through S_2 = H_2 (SB[i;2] -> DH[i]) that bracket has
-                    # coefficient 2*i_2 - i_1, zero when i_1 == 2*i_k: the
-                    # exception that _claims_h drops for H_2.  For n > 2 the
-                    # rule is kept per k; dropping instances only weakens it.
-                    # Besides this rule and the sum rule above, no instance
-                    # is dropped.
-                    if r == (i[0] + 1,) + i[1:] and i[0] == 2 * i[k - 1]:
-                        continue
-                    yield M, ("sb", r, k)
-
-
-def _raised(M, l, rmin, bound):
-    """(M, T) for each T that raises entry l of M's index by rmin up to
-    bound - i_l."""
-    kind, i = M
-    for r in range(rmin, bound - i[l] + 1):
-        yield M, (kind, i[:l] + (i[l] + r,) + i[l + 1:])
-
-
-def _claims_h(alg, tag, bound):
-    n = alg.n
+def _raise(n, i, r):
+    """(l, a, twice) for r that raises entry l of i by a, where twice tells
+    whether i_l is twice its partner's, i_(l+m) or i_(l-m) for m = n // 2
+    (false on K_n's last entry, which has no partner)."""
     m = n // 2
-    for i in _indices_bounded(n, bound):
-        if not any(i):
-            continue
-        M = ("dh", i)
-        for l in range(n):
-            partner = l + m if l < m else l - m
-            equal = i[l] == 2 * i[partner]
-            if tag == "H_1" and equal:
-                continue
-            if tag == "H_2" and not (equal and i[l] != 0):
-                continue
-            yield from _raised(M, l, 1 if tag == "H_1" else 2, bound)
+    for l, (x, y) in enumerate(zip(i, r)):
+        if x != y:
+            return l, y - x, l < 2 * m and i[l] == 2 * i[(l + m) % (2 * m)]
 
 
-def _claims_k(alg, tag, bound):
-    n = alg.n
-    m = (n - 1) // 2
-    for i in _indices_bounded(n, bound):
-        M = ("dk", i)
-        if tag == "K_1":
-            for l in range(n - 1):
-                partner = l + m if l < m else l - m
-                equal = i[l] == 2 * i[partner]
-                if equal and i[l] == 0:
-                    continue
-                yield from _raised(M, l, 2 if equal else 1, bound)
-        else:
-            yield from _raised(M, n - 1, 2 if sum(i) == 2 else 1, bound)
+def _w_ii(n, i, k, r):
+    if any(i[:k - 1]) or any(r[:k - 1]):
+        return False
+    return r[k - 1] != 2 * i[k - 1] - 1 or (i[k - 1] == 1 and any(i[k:]))
 
 
-_LEMMA_FAMILIES = {
-    "W_i": ("CartanW", _claims_w),
-    "W_ii": ("CartanW", _claims_w),
-    "S_i": ("SpecialS", _claims_s),
-    "S_ii": ("SpecialS", _claims_s),
-    "H_1": ("HamiltonianH", _claims_h),
-    "H_2": ("HamiltonianH", _claims_h),
-    "K_1": ("ContactK", _claims_k),
-    "K_2": ("ContactK", _claims_k),
+def _s_ii(n, i, k, r):
+    if i[0] < 1 or sum(r[1:]) - sum(i[1:]) == 1:
+        return False
+    # r = i + 1_1 has degree gap 1, so every tuple is a single entry, and
+    # on S_2 only SB[2,1;2] raises i_1 alone.  Through S_2 = H_2
+    # (SB[i;2] -> DH[i]) that bracket has coefficient 2*i_2 - i_1, zero
+    # when i_1 == 2*i_k: the raise by 1 that neither H_1 nor H_2 claims.
+    # For n > 2 the rule is kept per k; dropping instances only weakens
+    # it.  Besides this rule and the sum rule above, no instance is
+    # dropped.
+    return not (r == (i[0] + 1,) + i[1:] and i[0] == 2 * i[k - 1])
+
+
+def _h_2(n, i, k, r):
+    l, a, twice = _raise(n, i, r)
+    return twice and i[l] != 0 and a >= 2
+
+
+def _k_1(n, i, k, r):
+    # Below the last entry, K_1 claims what H_1 and H_2 claim together.
+    l, a, twice = _raise(n, i, r)
+    return l < n - 1 and (not twice or (i[l] != 0 and a >= 2))
+
+
+def _k_2(n, i, k, r):
+    l, a, _ = _raise(n, i, r)
+    return l == n - 1 and (a >= 2 or sum(i) != 2)
+
+
+# tag -> (family, M's kind, M's least k or None for a kind with no k,
+# T's index set, condition (n, i, k, r)).  M = (kind, i[, k]) runs over
+# the indices i with entries up to the bound, T = (kind, r[, k]) over the
+# index set of i, and the claim is T in L+(M) wherever the condition holds.
+_CLAIMS = {
+    "W_i": ("CartanW", "w", 1, _above, lambda n, i, k, r: any(i[:k - 1])),
+    "W_ii": ("CartanW", "w", 1, _above, _w_ii),
+    "S_i": ("SpecialS", "sa", None, _above, lambda n, i, k, r: r[0] == 0),
+    "S_ii": ("SpecialS", "sb", 2, _above, _s_ii),
+    "H_1": ("HamiltonianH", "dh", None, _raises, lambda n, i, k, r: not _raise(n, i, r)[2]),
+    "H_2": ("HamiltonianH", "dh", None, _raises, _h_2),
+    "K_1": ("ContactK", "dk", None, _raises, _k_1),
+    "K_2": ("ContactK", "dk", None, _raises, _k_2),
 }
+
+
+def _claims(alg, tag, bound):
+    """The (M, T) instances of the tagged claim with entries up to bound,
+    by M's index, then k, then T's index."""
+    _, kind, least, targets, holds = _CLAIMS[tag]
+    n = alg.n
+    for i in itertools.product(range(bound + 1), repeat=n):
+        for k in (None,) if least is None else range(least, n + 1):
+            M = (kind, i) if k is None else (kind, i, k)
+            for r in targets(i, bound):
+                if holds(n, i, k, r):
+                    yield M, (kind, r) + M[2:]
 
 
 def verify_claimed_subset(alg, lemma, bound, max_gap=DEFAULT_MAX_GAP):
@@ -713,11 +691,11 @@ def verify_claimed_subset(alg, lemma, bound, max_gap=DEFAULT_MAX_GAP):
     degree gap of at least b - 2, so a bound above max_gap + 2 is refused
     up front.
     """
-    if lemma not in _LEMMA_FAMILIES:
+    if lemma not in _CLAIMS:
         raise ValueError("unknown lemma tag: %r" % (lemma,))
     if bound < 0:
         raise ValueError("bound must not be negative")
-    family, gen = _LEMMA_FAMILIES[lemma]
+    family = _CLAIMS[lemma][0]
     if alg.family != family:
         raise ValueError("lemma %s is about %s, not %s" % (lemma, family, alg.family))
     if bound > max_gap + 2:
@@ -728,7 +706,7 @@ def verify_claimed_subset(alg, lemma, bound, max_gap=DEFAULT_MAX_GAP):
     table = _Table(alg)
     checked = 0
     failures = []
-    for M, T in gen(alg, lemma, bound):
+    for M, T in _claims(alg, lemma, bound):
         checked += 1
         if not is_member(alg, M, T, PLUS, max_gap, table=table):
             failures.append((M, T))

@@ -2,7 +2,6 @@
 
 import importlib.util
 import os
-import random
 import sys
 from fractions import Fraction
 

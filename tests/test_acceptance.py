@@ -5,15 +5,10 @@ report carries one pass/fail line per criterion.
 """
 
 import itertools
-import json
 import random
 import time
 
-import pytest
-
 from gradedlie import (
-    AlgebraSpec,
-    DTuple,
     MINUS,
     PLUS,
     Polynomial,
@@ -30,7 +25,6 @@ from gradedlie import (
     jacobi_residual,
     parse_poly,
     partial_reduce,
-    poisson_bracket,
     print_poly,
     verify_certificate,
     verify_claimed_subset,
@@ -45,7 +39,6 @@ from helpers import (
     H2,
     H4,
     K3,
-    P,
     S2,
     S3,
     S4,

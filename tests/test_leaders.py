@@ -1,6 +1,6 @@
 """Leader-set decision procedures, Dicksonian checks, structural probes."""
 
-import itertools
+import hashlib
 import os
 import tracemalloc
 
@@ -50,9 +50,7 @@ from helpers import (
     ROOT,
     S2,
     S3,
-    SL2,
     VIR,
-    W1,
     W2,
     W3,
     WINDOWS,
@@ -763,7 +761,7 @@ class TestVerifyClaimedSubset:
 
     def test_special_s_second_family_claims_every_member_it_reaches(self):
         # Members that an exclusion with no derivation used to drop.
-        claims = set(leaders._claims_s(S2, "S_ii", 5))
+        claims = set(leaders._claims(S2, "S_ii", 5))
         for M, T in [((4, 1), (5, 1)), ((5, 0), (5, 2))]:
             M, T = ("sb", M, 2), ("sb", T, 2)
             assert (M, T) in claims
@@ -777,9 +775,9 @@ class TestVerifyClaimedSubset:
     def test_claims_at_bound_b_reach_gap_b_minus_2(self, alg, tags):
         # The lower bound behind refusing a bound above max_gap + 2 up front.
         for tag in tags:
-            gen = leaders._LEMMA_FAMILIES[tag][1]
             for bound in (4, 5, 6):
-                gap = max(degree(alg, T) - degree(alg, M) for M, T in gen(alg, tag, bound))
+                gap = max(degree(alg, T) - degree(alg, M)
+                          for M, T in leaders._claims(alg, tag, bound))
                 assert gap >= bound - 2, (tag, bound)
                 if tag == "H_2":
                     assert gap == bound - 2
@@ -814,10 +812,61 @@ class TestVerifyClaimedSubset:
         def claims(alg, tag, bound):
             yield pair
 
-        monkeypatch.setitem(leaders._LEMMA_FAMILIES, "S_ii", ("SpecialS", claims))
+        monkeypatch.setattr(leaders, "_claims", claims)
         report = verify_claimed_subset(S2, "S_ii", 3)
         assert report.verdict is False
         assert report.failing == (pair,)
         assert report.notes == (
             "1 of 1 claimed memberships failed: SB[3,1;2] not in L+(SB[2,1;2])"
         )
+
+    # The count and the sha256 of repr(list(_claims(...))) of each tag on
+    # two ranks, so that any change to a claim list, or to its order,
+    # shows here.
+    @pytest.mark.parametrize("spec, tag, bound, count, digest", [
+        ("cartan-w:2", "W_i", 5, 285,
+         "13f46a129d8ae2dc87b0bac4556817ce01d35e4395acaf5258f29c640ef651f1"),
+        ("cartan-w:2", "W_ii", 5, 371,
+         "8bfe3da7149eccac0082073882f51f383c29c1f5f2398e5c7cb42c9a1c8df409"),
+        ("cartan-w:3", "W_i", 3, 1332,
+         "cf65a305eabc8614cac34667caf90be31b1f966de27d0637ed1ee9d6eeb18544"),
+        ("cartan-w:3", "W_ii", 3, 897,
+         "3303557a116be4cb270e8450fffb64bdf42c1db84d30b652f94535c3e11ccc05"),
+        ("special-s:2", "S_i", 5, 15,
+         "6d52ecca3a14ee1384042f934e5828df3aca1e80fca4bb653c6bb73769ed983a"),
+        ("special-s:2", "S_ii", 5, 208,
+         "f305885bc5afa2ad4ad3b8462504ac3a6ce23471090541d971d9affb253884f6"),
+        ("special-s:3", "S_i", 3, 84,
+         "c5d2b039d880cb86b187fecbc357d23e6dd1941b6acf6ff9437608e0e0f08f5e"),
+        ("special-s:3", "S_ii", 3, 808,
+         "1d218384b8b5cb391b7db8d68792f4588951d4495f72cd07020408aba7f6909b"),
+        ("hamiltonian:2", "H_1", 6, 270,
+         "c8b0acba82a1ea6a716cdbb488bf19c9b59c2eea10cfbfeb7bcbe8d9cd024859"),
+        ("hamiltonian:2", "H_2", 6, 8,
+         "fd40416d728c1f9cf05765f84d7e65a12785a607c75ea743e9be742dd9315271"),
+        ("hamiltonian:4", "H_1", 4, 4400,
+         "7f9efaeecad47fb3cb9d9335fe963d820fcfd9df02664a79c1930acc16d7999f"),
+        ("hamiltonian:4", "H_2", 4, 100,
+         "120f1449b4dbabf01d14e1e48249f4e9fbae908b94d1aae1ee120c79bbfb0223"),
+        ("contact:3", "K_1", 5, 996,
+         "9952d9ccae878327f31036557817274dac779bb1e0546e2af75b75bbbe339540"),
+        ("contact:3", "K_2", 5, 534,
+         "dc1123269adf2beca743f2e3dfd1165faceb2ca0924a6195f72f50cd311f4084"),
+        ("contact:5", "K_1", 3, 5120,
+         "5d1b82deb0eca2eae457551449fc9cf9ad18477364c54c856573243f810e8a30"),
+        ("contact:5", "K_2", 3, 1521,
+         "0a1ceb8a57fd0359f34cbba9937beaa6071ad1f70077dc16d4641f7e4ff504a3"),
+    ])
+    def test_claim_lists_are_pinned(self, spec, tag, bound, count, digest):
+        claims = list(leaders._claims(parse_algebra(spec), tag, bound))
+        assert len(claims) == count
+        assert hashlib.sha256(repr(claims).encode()).hexdigest() == digest
+
+    def test_lemma_tags_match_the_readme(self):
+        with open(os.path.join(ROOT, "README.md")) as fh:
+            text = fh.read()
+        blocks = text[text.index("### Lemma tags"):].split("\n\n")
+        table = next(block for block in blocks if block.startswith("| Tag |"))
+        rows = [[cell.strip(" `") for cell in line.split("|")[1:3]]
+                for line in table.splitlines()[2:]]
+        assert rows == [[tag, claim[0]] for tag, claim in leaders._CLAIMS.items()]
