@@ -37,6 +37,7 @@ element, matching H_2's order under S_2 = H_2.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from typing import Callable, NamedTuple
 
 WITT = "Witt"
@@ -257,20 +258,8 @@ def _quotient(a, n):
     return q.numerator if q.denominator == 1 else q
 
 
-def _unit(n, k):
-    """Multi-index 1_k (1-based k) of length n."""
-    return tuple(1 if j == k - 1 else 0 for j in range(n))
-
-
 def _minus_unit(i, k):
     """i - 1_k in Z^n."""
-    return i[: k - 1] + (i[k - 1] - 1,) + i[k:]
-
-
-def _sub_unit(i, k):
-    """i - 1_k, or None if that leaves the lattice."""
-    if i[k - 1] == 0:
-        return None
     return i[: k - 1] + (i[k - 1] - 1,) + i[k:]
 
 
@@ -290,11 +279,11 @@ def _w_bracket(n, i, k, j, m):
     out = {}
     c = j[k - 1]
     if c:
-        u = _sub_unit(_add(i, j), k)
+        u = _minus_unit(_add(i, j), k)
         lie_add(out, _one_term(("w", u, m), c))
     c = i[m - 1]
     if c:
-        u = _sub_unit(_add(i, j), m)
+        u = _minus_unit(_add(i, j), m)
         lie_add(out, _one_term(("w", u, k), -c))
     return out
 
@@ -303,9 +292,9 @@ def sb_expand(alg, i, k):
     """ShapeB element of S_n written in W_n coordinates."""
     out = {}
     if i[k - 1]:
-        out[("w", _sub_unit(i, k), 1)] = i[k - 1]
+        out[("w", _minus_unit(i, k), 1)] = i[k - 1]
     if i[0]:
-        lie_add(out, _one_term(("w", _sub_unit(i, 1), k), -i[0]))
+        lie_add(out, _one_term(("w", _minus_unit(i, 1), k), -i[0]))
     return out
 
 
@@ -331,7 +320,7 @@ def sn_project(alg, v):
         if not c:
             continue
         _, u, k = b
-        i = _add(u, _unit(alg.n, 1))
+        i = (u[0] + 1,) + u[1:]
         coeff = _quotient(-c, i[0])
         out[("sb", i, k)] = coeff
         lie_add(rem, sb_expand(alg, i, k), -coeff)
@@ -359,7 +348,7 @@ def _symplectic(i, j, m):
     for l in range(1, m + 1):
         c = i[m + l - 1] * j[l - 1] - i[l - 1] * j[m + l - 1]
         if c:
-            u = _sub_unit(_sub_unit(_add(i, j), l), m + l)
+            u = _minus_unit(_minus_unit(_add(i, j), l), m + l)
             poly[u] = poly.get(u, 0) + c
     return poly
 
@@ -374,7 +363,7 @@ def _k_bracket(alg, a, b):
     poly = _symplectic(i, j, (alg.n - 1) // 2)
     c = i[-1] * sum(j[:-1]) - j[-1] * sum(i[:-1]) + 2 * (j[-1] - i[-1])
     if c:
-        u = _sub_unit(_add(i, j), alg.n)
+        u = _minus_unit(_add(i, j), alg.n)
         poly[u] = poly.get(u, 0) + c
     return {("dk", u): c for u, c in poly.items() if c}
 
@@ -446,14 +435,14 @@ def jacobi_residual(alg, a, b, c):
 
 
 def _compositions(total, n):
-    """All length-n tuples of naturals summing to total, lexicographically."""
-    if n == 1:
-        if total >= 0:
-            yield (total,)
+    """All length-n tuples of naturals summing to total, lexicographically.
+    Stars and bars: each choice of n - 1 bar places among total + n - 1,
+    in lex order, gives part j as the stars between bars j - 1 and j."""
+    if total < 0:
         return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, n - 1):
-            yield (first,) + rest
+    end = total + n - 1
+    for bars in combinations(range(end), n - 1):
+        yield tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + (end,)))
 
 
 def _s_component(alg, d):

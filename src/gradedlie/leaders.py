@@ -229,14 +229,13 @@ def l_condition_holds(alg, M, t):
     return table.dominates(degree(alg, M), table.rivals(M, t.sign), order_key(alg, T), t)
 
 
-def iter_witnesses(alg, M, T, sign, max_gap=DEFAULT_MAX_GAP, *, table=None):
+def iter_witnesses(alg, M, T, sign, max_gap=DEFAULT_MAX_GAP):
     """Tuples t with iterated leader T and the dominance condition, in
-    iter_tuples order, decided through the table (a fresh one if table is
-    None).  The sign, M and T are checked first."""
+    iter_tuples order.  The sign, M and T are checked first."""
     _check_sign(sign)
     validate_element(alg, M)
     validate_element(alg, T)
-    yield from _witnesses(_Table(alg) if table is None else table, M, T, sign, max_gap)
+    yield from _witnesses(_Table(alg), M, T, sign, max_gap)
 
 
 def _witnesses(table, M, T, sign, max_gap):
@@ -312,20 +311,15 @@ def check_leading_dicksonian(alg, pairs, max_gap=DEFAULT_MAX_GAP):
                 return MembershipReport(
                     False, failing=(i + 1, j + 1), notes="duplicate pair"
                 )
-            if is_member(alg, pairs[i][0], pairs[j][0], MINUS, max_gap, table=table):
-                return MembershipReport(
-                    False,
-                    failing=(i + 1, j + 1),
-                    notes="%s in L-(%s)"
-                    % (element_to_str(alg, pairs[j][0]), element_to_str(alg, pairs[i][0])),
-                )
-            if is_member(alg, pairs[i][1], pairs[j][1], PLUS, max_gap, table=table):
-                return MembershipReport(
-                    False,
-                    failing=(i + 1, j + 1),
-                    notes="%s in L+(%s)"
-                    % (element_to_str(alg, pairs[j][1]), element_to_str(alg, pairs[i][1])),
-                )
+            for side, sign in ((0, MINUS), (1, PLUS)):
+                M, T = pairs[i][side], pairs[j][side]
+                if is_member(alg, M, T, sign, max_gap, table=table):
+                    return MembershipReport(
+                        False,
+                        failing=(i + 1, j + 1),
+                        notes="%s in L%s(%s)"
+                        % (element_to_str(alg, T), sign, element_to_str(alg, M)),
+                    )
     return MembershipReport(True)
 
 
@@ -566,14 +560,9 @@ def check_cofinite_window(alg, M, window, max_gap=DEFAULT_MAX_GAP):
     table = _Table(alg)
     exceptions = []
     for T in elems:
-        dT = degree(alg, T)
-        if dT > dM:
-            ok = is_member(alg, M, T, PLUS, max_gap, table=table)
-        elif dT < dM:
-            ok = is_member(alg, M, T, MINUS, max_gap, table=table)
-        else:
-            ok = False
-        if not ok:
+        # At M's own degree the gap is 0, and l_member answers false on either sign.
+        sign = PLUS if degree(alg, T) > dM else MINUS
+        if not is_member(alg, M, T, sign, max_gap, table=table):
             exceptions.append(T)
     if not exceptions:
         return MembershipReport(True, exceptions=())

@@ -232,10 +232,6 @@ def print_poly(f):
 # Certificate JSON
 
 
-def _dtuple_to_json(alg, t):
-    return [element_to_str(alg, b) for b in t.entries]
-
-
 def cert_to_doc(cert):
     """A reduction certificate as a JSON-ready document."""
     alg = cert.alg
@@ -258,7 +254,9 @@ def cert_to_doc(cert):
             {
                 "coeff": print_poly(t.coeff),
                 "generator": t.gen,
-                "tuple": None if t.dtuple is None else _dtuple_to_json(alg, t.dtuple),
+                "tuple": None if t.dtuple is None else [
+                    element_to_str(alg, b) for b in t.dtuple.entries
+                ],
             }
             for t in cert.terms
         ],

@@ -1,5 +1,6 @@
 """Bases, gradings, orders, and brackets of the built-in algebras."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -380,6 +381,13 @@ class TestEnumeration:
             assert all(enumerate_component(alg, d) for d in range(lo, lo + 16))
             if floor is not None:
                 assert enumerate_component(alg, floor - 1) == []
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_compositions_in_lex_order(self, n):
+        # Negative totals give none, and n = 1 gives (total,) alone.
+        for t in range(-2, 8):
+            want = [c for c in itertools.product(range(max(t, 0) + 1), repeat=n) if sum(c) == t]
+            assert list(algebras._compositions(t, n)) == want
 
     def test_degrees_below_the_least_are_not_scanned(self):
         for alg in ALL_ALGEBRAS:

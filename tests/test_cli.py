@@ -349,6 +349,10 @@ class TestTextFormat:
                 "verdict: false\nfailing: (1, 3)\nnotes: e[3] in L+(e[1])\n",
             ),
             (
+                ("--alg", "witt", "check-dicksonian", "(e[1],e[5]) (e[-2],e[6])"),
+                "verdict: false\nfailing: (1, 2)\nnotes: e[-2] in L-(e[1])\n",
+            ),
+            (
                 ("--alg", "witt+", "leaders", "e[1]^2*e[3]+e[2]"),
                 "upper leader: e[3]\n"
                 "upper degree: 1\n"
@@ -372,7 +376,7 @@ class TestTextFormat:
                 "length: 3\n(e[1], e[1])\n(e[1], e[2])\n(e[2], e[2])\n",
             ),
         ],
-        ids=["cofinite", "dicksonian", "leaders", "reduce", "search"],
+        ids=["cofinite", "dicksonian", "dicksonian-minus", "leaders", "reduce", "search"],
     )
     def test_exact_text(self, capsys, argv, text):
         code, out, _ = run(capsys, *argv)
@@ -444,7 +448,8 @@ HUGE = "100000000000"
 class TestUnboundedRequests:
     """Requests whose size has no bound in the grammar end at once: each is
     refused before any enumeration, or, for a length-one search, answered
-    without one."""
+    without one.  A Cartan type of large rank is answered too: its
+    components are enumerated without a call per rank."""
 
     @pytest.mark.parametrize("argv, code, out, err", [
         (("--alg", "witt", "check-dagger", "--window", "-" + HUGE, HUGE), 2, "",
@@ -457,8 +462,13 @@ class TestUnboundedRequests:
          0, "length: 1\n(e[-%s], e[-%s])\n" % (HUGE, HUGE), ""),
         (("--alg", "witt", "search-dicksonian", "--degree-bound", HUGE, "--length-bound", "0"),
          2, "", "error: search needs a nonempty degree window and a positive length bound\n"),
+        (("--alg", "hamiltonian:2000", "jacobi-test", "--window", "-1", "-1", "--samples", "1"),
+         0, "verdict: true\n", ""),
+        (("--alg", "cartan-w:1000", "jacobi-test", "--window", "-1", "-1", "--samples", "1"),
+         0, "verdict: true\n", ""),
     ], ids=["dagger-huge-window", "jacobi-huge-window", "jacobi-huge-samples",
-            "search-huge-window-length-one", "search-huge-window-length-zero"])
+            "search-huge-window-length-one", "search-huge-window-length-zero",
+            "jacobi-hamiltonian-rank-2000", "jacobi-cartan-w-rank-1000"])
     def test_ends_at_once(self, argv, code, out, err):
         proc = python("from gradedlie.cli import main; sys.exit(main(sys.argv[1:]))", *argv,
                       timeout=5, capture_output=True, text=True)

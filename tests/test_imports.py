@@ -1,5 +1,7 @@
 """Every imported name is read: an AST scan of the package modules (but
-__init__.py, whose imports are re-exports), scripts/ and tests/."""
+__init__.py, whose imports are re-exports), scripts/ and tests/.  And
+every private name that a package module defines at its top level is
+read somewhere in src/, scripts/ or tests/."""
 
 import ast
 import glob
@@ -39,6 +41,38 @@ def unused_imports(text):
     return [(line, name) for line, name in bound if name not in read]
 
 
+def private_definitions(text):
+    """(line, name) of each private name that the module's top level binds:
+    a def, a class or an assignment target.  Dunder names are exempt."""
+    out = []
+    for node in ast.parse(text).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [n.id for t in node.targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        out += [(node.lineno, name) for name in names
+                if name.startswith("_") and not name.startswith("__")]
+    return out
+
+
+def reads(text):
+    """The names that a module reads: a loaded name, an attribute, or a
+    name that an import binds."""
+    out = set()
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name.split(".")[-1])
+    return out
+
+
 def test_the_scan_finds_what_it_should():
     text = (
         "from __future__ import annotations\n"
@@ -68,3 +102,37 @@ def test_the_scan_covers_every_part():
 def test_every_import_is_read(path):
     with open(os.path.join(ROOT, path)) as fh:
         assert unused_imports(fh.read()) == []
+
+
+def test_the_dead_name_scan_finds_what_it_should():
+    text = (
+        "__all__ = ['f']\n"
+        "_TABLE = {}\n"
+        "_a, (_b, c) = 1, (2, 3)\n"
+        "_n: int = 0\n"
+        "def _used():\n"
+        "    return _TABLE\n"
+        "def _unused():\n"
+        "    _local = 1\n"
+        "    return _local\n"
+        "class _Box:\n"
+        "    pass\n"
+        "def f(m):\n"
+        "    return _used(), m._a, _n\n"
+    )
+    read = reads(text) | reads("from m import _b\n")
+    assert [(line, name) for line, name in private_definitions(text) if name not in read] == [
+        (7, "_unused"), (10, "_Box")]
+
+
+def test_every_private_name_is_read():
+    texts = {}
+    for pattern in (("src", "**", "*.py"), ("scripts", "*.py"), ("tests", "*.py")):
+        for path in glob.glob(os.path.join(ROOT, *pattern), recursive=True):
+            with open(path) as fh:
+                texts[os.path.relpath(path, ROOT)] = fh.read()
+    read = set().union(*map(reads, texts.values()))
+    package = sorted(p for p in texts if p.startswith(os.path.join("src", "gradedlie", "")))
+    assert os.path.join("src", "gradedlie", "__init__.py") in package
+    assert [(path, line, name) for path in package
+            for line, name in private_definitions(texts[path]) if name not in read] == []
