@@ -464,14 +464,38 @@ def enumerate_component(alg, d):
     return sorted(out, key=lambda b: order_key(alg, b))
 
 
+def _lowest_degree(alg, lo):
+    """The lowest degree from lo up that holds a basis element: every
+    degree from the algebra's least one up holds one."""
+    floor = min_degree(alg)
+    return lo if floor is None else max(lo, floor)
+
+
 def elements_in_window(alg, lo, hi):
     """All basis elements with degree in [lo, hi], sorted.  The degrees
     below the algebra's least one are skipped, not scanned."""
-    floor = min_degree(alg)
     out = []
-    for d in range(lo if floor is None else max(lo, floor), hi + 1):
+    for d in range(_lowest_degree(alg, lo), hi + 1):
         out += enumerate_component(alg, d)
     return out
+
+
+def _window(alg, window, least, max_gap=None):
+    """The basis elements of a degree window, refused if it is inverted or
+    holds fewer than `least` of them: a check on it would check nothing.
+    Given max_gap, a window whose elements span more than max_gap degrees
+    is refused too, before any is enumerated."""
+    lo, hi = window
+    if lo > hi:
+        raise ValueError("inverted degree window (%d, %d)" % (lo, hi))
+    if max_gap is not None and hi - _lowest_degree(alg, lo) > max_gap:
+        raise ValueError("degree window (%d, %d) spans more than the safety limit %d"
+                         % (lo, hi, max_gap))
+    elems = elements_in_window(alg, lo, hi)
+    if len(elems) < least:
+        raise ValueError("degree window (%d, %d) holds %d basis element(s); the check needs %d"
+                         % (lo, hi, len(elems), least))
+    return elems
 
 
 # ---------------------------------------------------------------------------

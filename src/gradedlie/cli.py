@@ -9,8 +9,8 @@ in full, as `--name value` or `--name=value`, and may stand among the
 positionals.  Every option but -h is a --long one, so -e[4] is a value.
 
 Exit codes: 0 success / verdict true, 1 verdict false, 2 usage or parse
-error, 3 internal guard tripped (step budget, failed verification), 141
-stdout closed by its reader (as a process killed by SIGPIPE).
+error, 3 guard tripped (step budget, out of memory, failed verification),
+141 stdout closed by its reader (as a process killed by SIGPIPE).
 """
 
 from __future__ import annotations
@@ -18,11 +18,11 @@ from __future__ import annotations
 import json
 import os
 import random
-import re
 import sys
 from types import SimpleNamespace
 
 from .algebras import (
+    _window,
     bracket_basis,
     element_to_str,
     jacobi_residual,
@@ -40,7 +40,6 @@ from .elim import (
 from .leaders import (
     DEFAULT_MAX_GAP,
     DegreeGapExceeded,
-    _window,
     check_cofinite_window,
     check_dagger,
     check_leading_dicksonian,
@@ -49,7 +48,7 @@ from .leaders import (
     verify_claimed_subset,
 )
 from .poly import MINUS, PLUS, DTuple, Polynomial, d_op, poisson_bracket
-from .textio import ParseError, cert_to_doc, parse_element, parse_poly, print_poly
+from .textio import cert_to_doc, parse_element, parse_pairs, parse_poly, print_poly
 
 
 class UsageError(ValueError):
@@ -133,7 +132,7 @@ _COMMANDS = {
         l_member(alg, args.m, args.t, MINUS if args.minus else PLUS,
                  max_gap=args.max_degree_gap), alg)),
     "check-dicksonian": (("pairs+",), {}, lambda alg, args: _report_doc(
-        check_leading_dicksonian(alg, _pairs(alg, " ".join(args.pairs).strip()),
+        check_leading_dicksonian(alg, parse_pairs(alg, " ".join(args.pairs)),
                                  max_gap=args.max_degree_gap), alg)),
     "search-dicksonian": ((), {"--degree-bound": (1, int, _REQUIRED),
                                "--length-bound": (1, int, _REQUIRED)}, _search_dicksonian),
@@ -246,22 +245,6 @@ def _emit(args, doc):
             print(line)
 
 
-# A pair (M,N) of check-dicksonian: M runs to the first comma outside its
-# [...], and spaces may stand anywhere, as search-dicksonian prints them.
-_PAIR = re.compile(r"\(((?:[^][(),]|\[[^][]*\])*),([^()]*)\)\s*")
-
-
-def _pairs(alg, text):
-    pairs, pos = [], 0
-    while pos < len(text):
-        m = _PAIR.match(text, pos)
-        if not m:
-            raise UsageError("pair must look like (M,N): %r" % text[pos:])
-        pairs.append((parse_element(alg, m[1]), parse_element(alg, m[2])))
-        pos = m.end()
-    return pairs
-
-
 def _failing_doc(alg, v):
     if isinstance(v, int):
         return v
@@ -364,11 +347,14 @@ def main(argv=None):
             print(_usage())
             return 0
         return _run(args)
-    except (ParseError, UsageError, ValueError) as exc:
+    except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except (NonTermination, DegreeGapExceeded) as exc:
         print("guard: %s" % exc, file=sys.stderr)
+        return 3
+    except MemoryError:
+        print("guard: out of memory", file=sys.stderr)
         return 3
     except _Unverified as exc:
         print("internal error: %s" % exc, file=sys.stderr)

@@ -27,6 +27,8 @@ from operator import sub
 from typing import NamedTuple
 
 from .algebras import (
+    _lowest_degree,
+    _window,
     bracket_basis,
     compare_basis,
     degree,
@@ -72,11 +74,10 @@ class _Table:
     """What the decisions of one public call share, for that call only.
 
     components maps a degree to its enumerate_component list: a decision
-    finds M's rivals in it.  graded maps a degree d to the cells
-    (b, d, mdeg b) of its component, mdeg b being b's multidegree under
-    the family's grading (None where the degree is the only grading),
-    computed once per table.  runs maps a signed bound k to the cells of
-    degrees 1..k (k > 0) or k..-1 (k < 0), in ascending degree: the
+    finds M's rivals in it.  runs maps a signed bound k to the cells
+    (b, d, mdeg b) of the components of degrees d = 1..k (k > 0) or k..-1
+    (k < 0), in ascending degree, mdeg b being b's multidegree under the
+    family's grading (None where the degree is the only grading): the
     candidates of an iter_tuples entry before the last.  index maps a
     degree to its elements grouped by multidegree, each group in basis
     order: the candidates of a last entry that must bring its tuple to a
@@ -88,13 +89,12 @@ class _Table:
     while there is none.  A row is extended only as far as a decision asks.
     """
 
-    __slots__ = ("alg", "grading", "components", "graded", "runs", "index", "rows")
+    __slots__ = ("alg", "grading", "components", "runs", "index", "rows")
 
     def __init__(self, alg):
         self.alg = alg
         self.grading = multigrading(alg)
         self.components = {}
-        self.graded = {}
         self.runs = {}
         self.index = {}
         self.rows = {}
@@ -110,23 +110,17 @@ class _Table:
         groups = self.index.get(d)
         if groups is None:
             groups = self.index[d] = {}
-            for b, _, m in self.cells(d):
-                groups.setdefault(m, []).append(b)
+            for b in self.component(d):
+                groups.setdefault(self.grading(self.alg, b), []).append(b)
         return groups.get(need, ())
-
-    def cells(self, d):
-        cells = self.graded.get(d)
-        if cells is None:
-            alg, grading = self.alg, self.grading
-            cells = self.graded[d] = [(b, d, grading and grading(alg, b))
-                                      for b in self.component(d)]
-        return cells
 
     def run(self, k):
         run = self.runs.get(k)
         if run is None:
-            run = self.runs[k] = [c for e in (range(1, k + 1) if k > 0 else range(k, 0))
-                                  for c in self.cells(e)]
+            alg, grading = self.alg, self.grading
+            run = self.runs[k] = [(b, e, grading and grading(alg, b))
+                                  for e in (range(1, k + 1) if k > 0 else range(k, 0))
+                                  for b in self.component(e)]
         return run
 
     def rivals(self, M, sign):
@@ -456,31 +450,6 @@ def dickson_check(points):
 
 # ---------------------------------------------------------------------------
 # Structural hypotheses on the algebra itself
-
-
-def _lowest_degree(alg, lo):
-    """The lowest degree from lo up that holds a basis element: every
-    degree from the algebra's least one up holds one."""
-    floor = min_degree(alg)
-    return lo if floor is None else max(lo, floor)
-
-
-def _window(alg, window, least, max_gap=None):
-    """The basis elements of a degree window, refused if it is inverted or
-    holds fewer than `least` of them: a check on it would check nothing.
-    Given max_gap, a window whose elements span more than max_gap degrees
-    is refused too, before any is enumerated."""
-    lo, hi = window
-    if lo > hi:
-        raise ValueError("inverted degree window (%d, %d)" % (lo, hi))
-    if max_gap is not None and hi - _lowest_degree(alg, lo) > max_gap:
-        raise ValueError("degree window (%d, %d) spans more than the safety limit %d"
-                         % (lo, hi, max_gap))
-    elems = elements_in_window(alg, lo, hi)
-    if len(elems) < least:
-        raise ValueError("degree window (%d, %d) holds %d basis element(s); the check needs %d"
-                         % (lo, hi, len(elems), least))
-    return elems
 
 
 def check_dagger(alg, window, max_gap=DEFAULT_MAX_GAP):

@@ -9,6 +9,7 @@ Surface syntax, whitespace-insensitive:
                its kind in algebras.ELEMENT_GRAMMAR: e[n], z,
                x[i1,...,in]d[k], SA[i,...], SB[i,...;k], DH[i,...],
                DK[i,...], E[p], F[p], H[p], X[n], Y
+    pairs    = { "(" variable "," variable ")" }
 
 element_to_str prints a name from the same grammar, so printing then
 parsing a name is the identity.  The parser adds every signed term into
@@ -53,7 +54,7 @@ class SchemaError(ValueError):
 
 _KIND_OF_HEAD = {grammar[0]: kind for kind, grammar in ELEMENT_GRAMMAR.items()}
 
-_TOKEN = re.compile(r"\s*(\d+|[A-Za-z]+|[][,;*^/+-])")
+_TOKEN = re.compile(r"\s*(\d+|[A-Za-z]+|[][(),;*^/+-])")
 
 
 def _tokenize(s):
@@ -195,6 +196,19 @@ def parse_element(alg, s):
     if p.i < len(p.toks):
         raise ParseError("trailing input %r" % p.peek(), p.pos())
     return b
+
+
+def parse_pairs(alg, s):
+    """Parse a sequence of pairs (M,N) of basis element names."""
+    p = _Parser(alg, s)
+    pairs = []
+    while p.i < len(p.toks):
+        p.take("(")
+        M = p.element()
+        p.take(",")
+        pairs.append((M, p.element()))
+        p.take(")")
+    return pairs
 
 
 def print_poly(f):

@@ -2,6 +2,7 @@
 
 import json
 import os
+import resource
 import shlex
 import subprocess
 import sys
@@ -262,9 +263,34 @@ class TestErrorHandling:
              "inverted degree window (3, -3)"),
             (("--alg", "witt+", "jacobi-test", "--window", "-3", "0"),
              "degree window (-3, 0) holds 0 basis element(s); the check needs 1"),
+            (("--alg", "witt+", "pbracket", "e[1]@", "e[2]"),
+             "unexpected character '@' (at position 4)"),
+            (("--alg", "witt+", "pbracket", "e(1]", "e[2]"),
+             "expected '[', found '(' (at position 1)"),
+            (("--alg", "witt+", "pbracket", "e[x]", "e[2]"),
+             "expected an integer, found 'x' (at position 2)"),
+            (("--alg", "witt+", "pbracket", "(e[1])", "e[2]"),
+             "unknown variable '(' (at position 0)"),
+            (("--alg", "witt+", "pbracket", "1/0*e[1]", "e[2]"),
+             "bad denominator '0' (at position 2)"),
+            (("--alg", "witt+", "pbracket", "e[1]^0", "e[2]"),
+             "exponent must be a positive integer (at position 5)"),
+            (("--alg", "witt+", "pbracket", "e[1] e[2]", "e[2]"),
+             "trailing input 'e' (at position 5)"),
+            (("--alg", "witt+", "pbracket", "", "e[2]"), "empty input (at position 0)"),
+            (("--alg", "witt", "check-dicksonian", "(e[1];e[2])"),
+             "expected ',', found ';' (at position 5)"),
+            (("--alg", "witt", "check-dicksonian", "(e[1],", "e[2])", "e[3]"),
+             "expected '(', found 'e' (at position 13)"),
+            (("--alg", "witt", "check-dicksonian", "(e[1],e[2]"),
+             "unexpected end of input (at position 10)"),
         ],
         ids=["dop-mixed-plus-first", "dop-mixed-minus-first", "jacobi-inverted-window",
-             "dagger-inverted-window", "cofinite-inverted-window", "jacobi-empty-window"],
+             "dagger-inverted-window", "cofinite-inverted-window", "jacobi-empty-window",
+             "poly-unexpected-character", "element-expected-token", "element-expected-integer",
+             "poly-unknown-variable", "poly-bad-denominator", "poly-zero-exponent",
+             "poly-trailing-input", "poly-empty-input", "pair-expected-comma",
+             "pair-expected-open", "pair-unclosed"],
     )
     def test_refusal_names_the_fault(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)
@@ -382,6 +408,21 @@ class TestTextFormat:
         code, out, _ = run(capsys, *argv)
         assert out == text
 
+    @pytest.mark.parametrize("argv, code, text", [
+        (("--alg", "witt", "check-dicksonian", "(e[2],e[1])"), 1,
+         "verdict: false\nfailing: (1, 1)\nnotes: pair 1 has M > N\n"),
+        (("--alg", "witt", "check-cofinite", "e[1]", "--window", "3", "6"), 0,
+         "verdict: true\nexceptions: \n"),
+    ], ids=["dicksonian-pair-out-of-order", "cofinite-no-exception"])
+    def test_exit_code_and_text(self, capsys, argv, code, text):
+        assert run(capsys, *argv) == (code, text, "")
+
+    def test_jacobi_counterexample(self, capsys, monkeypatch):
+        monkeypatch.setattr(gradedlie.cli, "jacobi_residual", lambda alg, a, b, c: {b: 1})
+        argv = ("--alg", "witt", "jacobi-test", "--window", "-1", "1", "--samples", "3")
+        assert run(capsys, *argv) == (
+            1, "verdict: false\ncounterexample: ['e[0]', 'e[0]', 'e[-1]']\n", "")
+
 
 def python(code, *args, timeout=120, **kw):
     """Run code in a fresh, isolated interpreter that imports gradedlie from SRC."""
@@ -449,7 +490,8 @@ class TestUnboundedRequests:
     """Requests whose size has no bound in the grammar end at once: each is
     refused before any enumeration, or, for a length-one search, answered
     without one.  A Cartan type of large rank is answered too: its
-    components are enumerated without a call per rank."""
+    components are enumerated without a call per rank.  One whose rank is
+    too large for memory exits 3 with the out-of-memory guard."""
 
     @pytest.mark.parametrize("argv, code, out, err", [
         (("--alg", "witt", "check-dagger", "--window", "-" + HUGE, HUGE), 2, "",
@@ -486,6 +528,22 @@ class TestUnboundedRequests:
         assert span(-12, 13, "--max-degree-gap", "25") == 0
         # witt+ has no element below degree 1, so its windows span from there.
         assert run(capsys, "--alg", "witt+", *command, "--window", "-100", "25")[0] == 0
+
+    @pytest.mark.parametrize("argv", [
+        ("--alg", "cartan-w:" + HUGE, "jacobi-test", "--window", "-1", "-1", "--samples", "1"),
+        ("--alg", "hamiltonian:" + HUGE, "check-dagger", "--window", "-1", "0"),
+        ("--alg", "contact:100000000001", "search-dicksonian", "--degree-bound", "1",
+         "--length-bound", "2"),
+        ("--alg", "special-s:" + HUGE, "verify-lemma", "S_i", "--bound", "1"),
+    ], ids=["jacobi-cartan-w", "dagger-hamiltonian", "search-contact", "lemma-special-s"])
+    def test_huge_ranks_trip_the_memory_guard(self, argv):
+        # The address-space limit is set in the child only, after the fork.
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+        proc = python("from gradedlie.cli import main; sys.exit(main(sys.argv[1:]))", *argv,
+                      timeout=30, capture_output=True, text=True, preexec_fn=limit)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", "guard: out of memory\n")
 
     def test_sample_cap(self, capsys):
         argv = ("--alg", "witt", "jacobi-test", "--window", "-3", "3", "--samples")

@@ -1,7 +1,8 @@
 """Every imported name is read: an AST scan of the package modules (but
 __init__.py, whose imports are re-exports), scripts/ and tests/.  And
-every private name that a package module defines at its top level is
-read somewhere in src/, scripts/ or tests/."""
+every private name that a package module defines at its top level, every
+method of a private class and every private method of any class in it,
+is read somewhere in src/, scripts/ or tests/."""
 
 import ast
 import glob
@@ -56,6 +57,19 @@ def private_definitions(text):
             continue
         out += [(node.lineno, name) for name in names
                 if name.startswith("_") and not name.startswith("__")]
+    return out
+
+
+def method_definitions(text):
+    """(line, name) of each method that a class of the module defines, the
+    class being private or the method private.  Dunder names are exempt."""
+    out = []
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.ClassDef):
+            out += [(f.lineno, f.name) for f in node.body
+                    if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and (node.name.startswith("_") or f.name.startswith("_"))
+                    and not f.name.startswith("__")]
     return out
 
 
@@ -125,6 +139,31 @@ def test_the_dead_name_scan_finds_what_it_should():
         (7, "_unused"), (10, "_Box")]
 
 
+def test_the_method_scan_finds_what_it_should():
+    text = (
+        "class _Table:\n"
+        "    def __init__(self):\n"
+        "        self.rows = {}\n"
+        "    def used(self):\n"
+        "        return self._helper()\n"
+        "    def cells(self):\n"
+        "        return []\n"
+        "    def _helper(self):\n"
+        "        return 1\n"
+        "class Public:\n"
+        "    def method(self):\n"
+        "        class _Inner:\n"
+        "            def deep(self):\n"
+        "                pass\n"
+        "        return _Inner\n"
+        "    def _private(self):\n"
+        "        pass\n"
+        "_Table().used()\n"
+    )
+    assert [(line, name) for line, name in method_definitions(text)
+            if name not in reads(text)] == [(6, "cells"), (16, "_private"), (13, "deep")]
+
+
 def test_every_private_name_is_read():
     texts = {}
     for pattern in (("src", "**", "*.py"), ("scripts", "*.py"), ("tests", "*.py")):
@@ -136,3 +175,5 @@ def test_every_private_name_is_read():
     assert os.path.join("src", "gradedlie", "__init__.py") in package
     assert [(path, line, name) for path in package
             for line, name in private_definitions(texts[path]) if name not in read] == []
+    assert [(path, line, name) for path in package
+            for line, name in method_definitions(texts[path]) if name not in read] == []

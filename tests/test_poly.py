@@ -100,6 +100,10 @@ class TestMultiplication:
         with pytest.raises(ValueError):
             P(WITT, "e[1] + e[2]") ** -1
 
+    def test_negative_exponent_in_a_monomial_raises(self):
+        with pytest.raises(ValueError, match="^negative exponent in monomial$"):
+            Polynomial.var(WITT, e(1), exp=-1)
+
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(poly_pairs())
     def test_product_matches_reference(self, pair):

@@ -233,3 +233,17 @@ class TestCertificateSchema:
         edit(doc)
         with pytest.raises(SchemaError):
             cert_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("edit, message", [
+        (_set_multiplier("generator", 1), "multiplier generator index out of range"),
+        (lambda doc: doc["terms"][0].update({"generator": 1}), "term generator index out of range"),
+        (lambda doc: doc.update({"format": 2}), "missing or unsupported format marker"),
+        (lambda doc: doc.pop("format"), "missing or unsupported format marker"),
+    ], ids=["multiplier-index", "term-index", "format-2", "no-format"])
+    def test_refusal_text(self, edit, message):
+        cert = partial_reduce(WITT_POS, P(WITT_POS, "e[4]"), (P(WITT_POS, "e[1]^2"),))[1]
+        doc = json.loads(cert_to_json(cert))
+        edit(doc)
+        with pytest.raises(SchemaError) as info:
+            cert_from_json(json.dumps(doc))
+        assert str(info.value) == message
