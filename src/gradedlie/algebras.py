@@ -38,6 +38,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from operator import add
 from typing import Callable, NamedTuple
 
 WITT = "Witt"
@@ -270,21 +271,22 @@ def _symplectic_grading(alg, b):
     return tuple(i[l] - i[m + l] for l in range(m)) + (degree(alg, b),)
 
 
-def _add(i, j):
-    return tuple(a + b for a, b in zip(i, j))
-
-
-def _w_bracket(n, i, k, j, m):
-    """Structure constants of W_n on x^i d_k, x^j d_m."""
+def _w_bracket(alg, a, b):
+    """Structure constants of W_n on x^i d_k, x^j d_m: j_k x^(i+j-1_k) d_m
+    - i_m x^(i+j-1_m) d_k, one term when k = m, each index made once."""
+    (_, i, k), (_, j, m) = a, b
+    ck, cm = (j[k - 1] - i[k - 1], 0) if k == m else (j[k - 1], i[m - 1])
+    if not (ck or cm):
+        return {}
+    s = list(map(add, i, j))
     out = {}
-    c = j[k - 1]
-    if c:
-        u = _minus_unit(_add(i, j), k)
-        lie_add(out, _one_term(("w", u, m), c))
-    c = i[m - 1]
-    if c:
-        u = _minus_unit(_add(i, j), m)
-        lie_add(out, _one_term(("w", u, k), -c))
+    if ck:
+        s[k - 1] -= 1
+        out[("w", tuple(s), m)] = ck
+        s[k - 1] += 1
+    if cm:
+        s[m - 1] -= 1
+        out[("w", tuple(s), k)] = -cm
     return out
 
 
@@ -294,7 +296,7 @@ def sb_expand(alg, i, k):
     if i[k - 1]:
         out[("w", _minus_unit(i, k), 1)] = i[k - 1]
     if i[0]:
-        lie_add(out, _one_term(("w", _minus_unit(i, 1), k), -i[0]))
+        out[("w", _minus_unit(i, 1), k)] = -i[0]
     return out
 
 
@@ -306,66 +308,63 @@ def sn_expand(alg, b):
 
 
 def sn_project(alg, v):
-    """Rewrite a W_n Lie element in the S_n basis.
-
-    Works greedily: every x^u d_k term with k >= 2 pins down a unique
-    ShapeB contribution (via the inverse of d_1 on monomials); what is
-    left must be ShapeA terms x^u d_1 with u_1 = 0.  Raises NotInSn if a
-    residue remains, which happens exactly when the divergence is nonzero.
-    """
-    rem = dict(v)
-    out = {}
-    for b in sorted([b for b in rem if b[2] >= 2]):
-        c = rem.get(b)
-        if not c:
-            continue
-        _, u, k = b
-        i = (u[0] + 1,) + u[1:]
-        coeff = _quotient(-c, i[0])
-        out[("sb", i, k)] = coeff
-        lie_add(rem, sb_expand(alg, i, k), -coeff)
-    for b, c in sorted(rem.items()):
-        _, u, k = b
-        if k != 1 or u[0] != 0:
-            raise NotInSn("element is not in S_n: residue %r" % (b,))
+    """Rewrite a W_n Lie element in the S_n basis, in one pass: a term c
+    x^u d_k, k >= 2, is that of SB[u + 1_1; k] times -c / (u_1 + 1), whose
+    d_1 term leaves the d_1 part.  Raises NotInSn unless what is left is
+    ShapeA terms x^u d_1 with u_1 = 0, i.e. unless the divergence is 0."""
+    out, d1 = {}, {}
+    for (_, u, k), c in v.items():
+        if k == 1:
+            d1[u] = d1.get(u, 0) + c
+        elif c:
+            i = (u[0] + 1,) + u[1:]
+            q = out[("sb", i, k)] = _quotient(-c, i[0])
+            if i[k - 1]:
+                t = _minus_unit(i, k)
+                d1[t] = d1.get(t, 0) - q * i[k - 1]
+    for u, c in lie_add({}, d1).items():
+        if u[0]:
+            raise NotInSn("element is not in S_n: residue %r" % (("w", u, 1),))
         out[("sa", u)] = c
-    return {b: c for b, c in out.items() if c}
+    return out
 
 
 def _s_bracket(alg, a, b):
     """Bracket of S_n, computed in W_n and projected back."""
     out = {}
-    for (_, i, k), ca in sn_expand(alg, a).items():
-        for (_, j, m), cb in sn_expand(alg, b).items():
-            lie_add(out, _w_bracket(alg.n, i, k, j, m), ca * cb)
+    for wa, ca in sn_expand(alg, a).items():
+        for wb, cb in sn_expand(alg, b).items():
+            lie_add(out, _w_bracket(alg, wa, wb), ca * cb)
     return sn_project(alg, out)
 
 
-def _symplectic(i, j, m):
+def _symplectic(kind, i, j, m):
     """Poisson bracket of x^i and x^j in the pairs (x_l, x_{m+l}), l <= m,
-    as {exponent: coefficient}."""
-    poly = {}
-    for l in range(1, m + 1):
-        c = i[m + l - 1] * j[l - 1] - i[l - 1] * j[m + l - 1]
+    as {(kind, exponent): coefficient}; each pair gives its own exponent."""
+    out = {}
+    for l in range(m):
+        c = i[m + l] * j[l] - i[l] * j[m + l]
         if c:
-            u = _minus_unit(_minus_unit(_add(i, j), l), m + l)
-            poly[u] = poly.get(u, 0) + c
-    return poly
+            u = list(map(add, i, j))
+            u[l] -= 1
+            u[m + l] -= 1
+            out[(kind, tuple(u))] = c
+    return out
 
 
 def _h_bracket(alg, a, b):
-    poly = _symplectic(a[1], b[1], alg.n // 2)
-    return {("dh", u): c for u, c in poly.items() if c and any(u)}
+    # Every term's exponent has degree |i| + |j| - 2, and D_H(1) = 0.
+    return _symplectic("dh", a[1], b[1], alg.n // 2) if sum(a[1]) + sum(b[1]) > 2 else {}
 
 
 def _k_bracket(alg, a, b):
+    """The terms of _symplectic, and one that lowers the last entry."""
     i, j = a[1], b[1]
-    poly = _symplectic(i, j, (alg.n - 1) // 2)
+    out = _symplectic("dk", i, j, (alg.n - 1) // 2)
     c = i[-1] * sum(j[:-1]) - j[-1] * sum(i[:-1]) + 2 * (j[-1] - i[-1])
     if c:
-        u = _minus_unit(_add(i, j), alg.n)
-        poly[u] = poly.get(u, 0) + c
-    return {("dk", u): c for u, c in poly.items() if c}
+        out[("dk", tuple(map(add, i[:-1], j[:-1])) + (i[-1] + j[-1] - 1,))] = c
+    return out
 
 
 def _witt_bracket(alg, a, b):
@@ -417,9 +416,10 @@ def bracket_lie(alg, u, v):
 
 
 def lie_extreme(alg, v, sign):
-    """Largest (PLUS) or smallest (MINUS) basis element of a Lie element."""
-    pick = max if sign == PLUS else min
-    return pick(v, key=lambda b: order_key(alg, b))
+    """Largest (PLUS) or smallest (MINUS) basis element of a Lie element or set."""
+    if len(v) == 1:
+        return next(iter(v))
+    return (max if sign == PLUS else min)(v, key=lambda b: order_key(alg, b))
 
 
 def jacobi_residual(alg, a, b, c):
@@ -541,7 +541,7 @@ _FAMILIES = {
         component=lambda alg, d: [
             ("w", i, k) for i in _compositions(d + 1, alg.n) for k in range(1, alg.n + 1)
         ],
-        bracket=lambda alg, a, b: _w_bracket(alg.n, a[1], a[2], b[1], b[2]),
+        bracket=_w_bracket,
         grading=lambda alg, b: _minus_unit(b[1], b[2]),
     ),
     SPECIAL_S: Family(

@@ -303,11 +303,11 @@ _TEXT = {
     "upper": _leader_lines,
     "lower": _leader_lines,
     "verdict": _field(lambda v: "true" if v else "false"),
-    "witness": _field(lambda v: "(%s)" % ", ".join(v)),
+    "witness": _field(_nested),
     "failing": _field(_nested),
     "exceptions": _field(", ".join),
     "notes": _field(),
-    "counterexample": _field(),
+    "counterexample": _field(_nested),
     "length": _field(),
     "sequence": lambda key, v, doc: v,
     "remainder": _field(),

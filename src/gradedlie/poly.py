@@ -465,12 +465,12 @@ def d_op(f, t):
 
 def d_bracket(alg, b, t):
     """Iterated Lie bracket [[b, t1], t2, ...] as a Lie element.  The first
-    step is the bracket of two basis elements."""
+    step is the bracket of two basis elements; a zero one ends the walk."""
     v = bracket_basis(alg, b, t.entries[0])
-    for m in t.entries[1:]:
+    for m in t.entries[1:] if v else ():
+        v = bracket_lie(alg, v, {m: 1})
         if not v:
             break
-        v = bracket_lie(alg, v, {m: 1})
     return v
 
 

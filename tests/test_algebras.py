@@ -31,6 +31,7 @@ from gradedlie.algebras import (
     Z,
     bracket_lie,
     dh,
+    lie_add,
     dk,
     e,
     loop,
@@ -41,6 +42,7 @@ from gradedlie.algebras import (
     w,
     x,
 )
+import cartan_reference
 from helpers import (
     ALL_ALGEBRAS,
     EXD,
@@ -49,10 +51,12 @@ from helpers import (
     K3,
     S2,
     S3,
+    S4,
     SL2,
     VIR,
     W2,
     W3,
+    W4,
     WINDOWS,
     WITT,
     WITT_POS,
@@ -475,6 +479,10 @@ class TestSnProjection:
         assert out == {sb((2, 1), 2): Fraction(1, 2)}
         assert type(out[sb((2, 1), 2)]) is Fraction
 
+    def test_zero_values_are_ignored(self):
+        assert sn_project(S2, {w((1, 1), 2): 0, w((0, 1), 1): 2, w((2, 0), 1): 0}) == {
+            sa((0, 1)): 2}
+
     def test_nonzero_divergence_rejected(self):
         with pytest.raises(NotInSn):
             sn_project(S2, {w((1, 0), 1): Fraction(1)})
@@ -483,6 +491,38 @@ class TestSnProjection:
         for alg in (S2, AlgebraSpec("SpecialS", 3)):
             for b in window_basis(alg, (-1, 3)):
                 assert sn_project(alg, sn_expand(alg, b)) == {b: Fraction(1)}
+
+
+class TestOnePassKernels:
+    """The one-pass W_n, S_n, H_n and K_n kernels against the two-pass
+    formulas of cartan_reference, on every pair of each window."""
+
+    @pytest.mark.parametrize("alg", [W2, W3, W4, S2, S3, S4, H2, H4, K3], ids=algebra_to_str)
+    def test_brackets_equal_the_reference(self, alg):
+        pool = window_basis(alg)
+        for a in pool:
+            for b in pool:
+                got = bracket_basis(alg, a, b)
+                assert got == cartan_reference.reference_bracket(alg, a, b), (a, b)
+                assert all(c and exact(c) for c in got.values()), (a, b)
+
+    @pytest.mark.parametrize("alg", [S2, S3, S4], ids=algebra_to_str)
+    def test_projection_equals_the_reference(self, alg):
+        # Sums of expansions with Fraction coefficients project as the
+        # reference does; one more d_1 term with u_1 > 0 is refused by both.
+        rng = random.Random(31)
+        pool = window_basis(alg, (-1, 2))
+        for _ in range(200):
+            v = {}
+            for b in rng.sample(pool, 3):
+                lie_add(v, sn_expand(alg, b), Fraction(rng.randint(-6, 6), rng.randint(1, 4)))
+            got = sn_project(alg, v)
+            assert got == cartan_reference.sn_project(v), v
+            assert all(c and exact(c) for c in got.values()), v
+            lie_add(v, {w((1,) + (0,) * (alg.n - 1), 1): 1})
+            for project in (lambda v: sn_project(alg, v), cartan_reference.sn_project):
+                with pytest.raises(NotInSn):
+                    project(v)
 
 
 def exact(c):

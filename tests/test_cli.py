@@ -421,7 +421,7 @@ class TestTextFormat:
         monkeypatch.setattr(gradedlie.cli, "jacobi_residual", lambda alg, a, b, c: {b: 1})
         argv = ("--alg", "witt", "jacobi-test", "--window", "-1", "1", "--samples", "3")
         assert run(capsys, *argv) == (
-            1, "verdict: false\ncounterexample: ['e[0]', 'e[0]', 'e[-1]']\n", "")
+            1, "verdict: false\ncounterexample: (e[0], e[0], e[-1])\n", "")
 
 
 def python(code, *args, timeout=120, **kw):

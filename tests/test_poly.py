@@ -24,8 +24,8 @@ from gradedlie import (
     d_op,
     poisson_bracket,
 )
-from gradedlie.algebras import Z, algebra_to_str, dh, e, sa, sb
-from gradedlie.poly import _trusted_dtuple, mono, pb_with_var
+from gradedlie.algebras import Z, algebra_to_str, dh, e, lie_extreme, sa, sb
+from gradedlie.poly import _trusted_dtuple, d_bracket, mono, pb_with_var
 from helpers import (
     ALL_ALGEBRAS, H2, H4, P, S2, S3, VIR, W2, WITT, WITT_POS, random_poly, window_basis,
 )
@@ -589,3 +589,28 @@ class TestDLeader:
     def test_hamiltonian_constant_kernel(self):
         t = DTuple(H2, (dh((0, 1)),))
         assert d_leader(H2, dh((1, 0)), t) is None
+
+    def test_a_one_term_leader_needs_no_order_key(self, monkeypatch):
+        calls = spy_on_order_key(monkeypatch)
+        assert d_leader(WITT, e(1), DTuple(WITT, (e(2),))) == e(3)
+        for sign in (PLUS, MINUS):
+            assert lie_extreme(S2, {sa((0, 2)): Fraction(-1, 2)}, sign) == sa((0, 2))
+            assert lie_extreme(S2, {sa((0, 2))}, sign) == sa((0, 2))
+        assert calls == []
+        assert lie_extreme(WITT, {e(1): 1, e(2): 1}, PLUS) == e(2)
+        assert sorted(calls) == [e(1), e(2)]
+
+    def test_a_zero_first_bracket_ends_the_walk(self, monkeypatch):
+        # [e_1, e_1] = 0: d_bracket returns {} at once, with no bracket_lie
+        # call and without slicing the entries.
+        class Unsliceable(tuple):
+            def __getitem__(self, k):
+                assert not isinstance(k, slice), "entries sliced"
+                return tuple.__getitem__(self, k)
+
+        calls = []
+        monkeypatch.setattr(gradedlie.poly, "bracket_lie", lambda *args: calls.append(args))
+        entries = (e(1), e(2), e(3))
+        t = DTuple(WITT, entries)._replace(entries=Unsliceable(entries))
+        assert d_bracket(WITT, e(1), t) == {}
+        assert calls == []

@@ -3,8 +3,24 @@
 x^i d_k of W_n is the polynomial vector field with x^i in its k-th slot,
 and e_n of the Witt algebra (and of its subalgebras W_1 and Witt+) is
 z^(n+1) d/dz.  The commutator of vector fields, computed by sympy, must
-equal bracket_basis on a window of each algebra.  S_n, H_n and K_n are
-not covered here.
+equal bracket_basis on a window of each algebra.
+
+The other Cartan types are fields too, each compared on a window:
+
+- S_n: an element is the W_n field of sn_expand, and each of them has
+  divergence zero.
+- H_n, n = 2m: DH[i] is the Hamiltonian field of x^i for the pairing
+  (x_l, x_{m+l}), D_H(f) = sum_l (d_l f d_{m+l} - d_{m+l} f d_l) (Kac
+  1968).  The package's bracket is that of the opposite pairing:
+  [DH[i], DH[j]] is DH of sum_l (d_{m+l} f d_l g - d_l f d_{m+l} g), the
+  negative of {x^i, x^j} for D_H.  So DH[i] -> D_H(x^i) is an
+  anti-homomorphism, D_H([a, b]) = -[D_H(a), D_H(b)], and that is what is
+  tested.
+- K_n, n = 2m + 1: DK[i] is the contact field K(x^i) of the form
+  dx_n + sum_l (x_{m+l} dx_l - x_l dx_{m+l}), normalised by
+  alpha(K(f)) = 2f: its slot n is 2f - sum_(i<n) x_i d_i f, and its slot
+  i < n is x_i d_n f plus slot i of -D_H(f).  With the pairing so
+  oriented, DK[i] -> K(x^i) is a homomorphism.
 """
 
 from fractions import Fraction
@@ -12,7 +28,8 @@ from fractions import Fraction
 import pytest
 
 from gradedlie import algebra_to_str, bracket_basis
-from helpers import W1, W2, W3, WINDOWS, WITT, WITT_POS, window_basis
+from gradedlie.algebras import sn_expand
+from helpers import H2, H4, K3, S2, S3, W1, W2, W3, WINDOWS, WITT, WITT_POS, window_basis
 
 sympy = pytest.importorskip("sympy")
 
@@ -23,8 +40,12 @@ def field(b, xs):
         return [xs[0] ** (b[1] + 1)]
     _, i, k = b
     comps = [sympy.Integer(0)] * len(xs)
-    comps[k - 1] = sympy.Mul(*(x**a for x, a in zip(xs, i)))
+    comps[k - 1] = monomial(i, xs)
     return comps
+
+
+def monomial(i, xs):
+    return sympy.Mul(*(x**a for x, a in zip(xs, i)))
 
 
 def commutator(u, v, xs):
@@ -60,3 +81,73 @@ def test_brackets_are_commutators_of_vector_fields(alg):
         for b in pool:
             assert bracket_basis(alg, a, b) == to_basis(commutator(fields[a], fields[b], xs), xs), (
                 a, b)
+
+
+def s_field(alg, b, xs):
+    """An S_n element as the W_n field of its sn_expand terms."""
+    comps = [sympy.Integer(0)] * len(xs)
+    for (_, i, k), c in sn_expand(alg, b).items():
+        comps[k - 1] += c * monomial(i, xs)
+    return comps
+
+
+def hamiltonian_field(f, xs):
+    """D_H(f) = sum_l (d_l f d_{m+l} - d_{m+l} f d_l)."""
+    m = len(xs) // 2
+    comps = [sympy.Integer(0)] * len(xs)
+    for l in range(m):
+        comps[l] = -sympy.diff(f, xs[m + l])
+        comps[m + l] = sympy.diff(f, xs[l])
+    return comps
+
+
+def contact_field(f, xs):
+    """K(f) for dx_n + sum_l (x_{m+l} dx_l - x_l dx_{m+l}), alpha(K(f)) = 2f."""
+    *ys, t = xs
+    df = sympy.diff(f, t)
+    comps = [x * df - h for x, h in zip(ys, hamiltonian_field(f, ys))]
+    return comps + [2 * f - sum(x * sympy.diff(f, x) for x in ys)]
+
+
+def h_field(alg, b, xs):
+    return hamiltonian_field(monomial(b[1], xs), xs)
+
+
+def k_field(alg, b, xs):
+    return contact_field(monomial(b[1], xs), xs)
+
+
+# (algebra, window, the field of a basis element, the sign s of
+# field([a, b]) = s [field(a), field(b)])
+FIELDS = [
+    (S2, (-1, 3), s_field, 1),
+    (S3, (-1, 1), s_field, 1),
+    (H2, (-1, 3), h_field, -1),
+    (H4, (-1, 1), h_field, -1),
+    (K3, (-2, 2), k_field, 1),
+]
+
+
+@pytest.mark.parametrize("alg, window, of, sign", FIELDS,
+                         ids=[algebra_to_str(f[0]) for f in FIELDS])
+def test_s_h_and_k_brackets_are_commutators_of_their_fields(alg, window, of, sign):
+    pool = window_basis(alg, window)
+    xs = sympy.symbols("x1:%d" % (alg.n + 1))
+    fields = {b: of(alg, b, xs) for b in pool}
+    assert all(any(sympy.expand(c) != 0 for c in u) for u in fields.values())
+    for a in pool:
+        for b in pool:
+            want = [sympy.Integer(0)] * len(xs)
+            for c, coeff in bracket_basis(alg, a, b).items():
+                want = [v + sign * sympy.Rational(coeff.numerator, coeff.denominator) * u
+                        for v, u in zip(want, of(alg, c, xs))]
+            got = commutator(fields[a], fields[b], xs)
+            assert all(sympy.expand(u - v) == 0 for u, v in zip(got, want)), (a, b)
+
+
+@pytest.mark.parametrize("alg", [S2, S3], ids=algebra_to_str)
+def test_special_fields_have_divergence_zero(alg):
+    xs = sympy.symbols("x1:%d" % (alg.n + 1))
+    for b in window_basis(alg):
+        u = s_field(alg, b, xs)
+        assert sympy.expand(sum(sympy.diff(c, x) for c, x in zip(u, xs))) == 0, b
