@@ -225,12 +225,7 @@ def multigrading(alg):
 
 def lie_add(dst, src, c=1):
     """dst += c * src in place; dst keeps no zero values, and an integral
-    value is kept as an int.
-
-    The values are ints or Fractions; the keys are basis elements here and
-    monomials in poly.py, whose sums and products accumulate through this
-    function too.
-    """
+    value is kept as an int.  The values are ints or Fractions."""
     scale = c != 1
     for b, v in src.items():
         if scale:

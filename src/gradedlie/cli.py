@@ -80,11 +80,11 @@ MAX_SAMPLES = 10**6  # the most Jacobi triples one jacobi-test may draw
 
 def _leaders(alg, args):
     f = args.f
-    return {name: {"leader": element_to_str(alg, f.leader(sign)),
-                   "degree": f.degree_in(f.leader(sign)),
-                   "initial": print_poly(f.initial(sign)),
-                   "separant": print_poly(f.separant(sign))}
-            for sign, name in ((PLUS, "upper"), (MINUS, "lower"))}
+    return {name: {"leader": element_to_str(alg, lead), "degree": d,
+                   "initial": print_poly(f.expand_in(lead)[d]),
+                   "separant": print_poly(f.derivative(lead))}
+            for sign, name in ((PLUS, "upper"), (MINUS, "lower"))
+            for lead in [f.leader(sign)] for d in [f.degree_in(lead)]}
 
 
 def _reduce(alg, args):

@@ -112,7 +112,7 @@ def is_reduced(alg, g, lam, max_gap=DEFAULT_MAX_GAP):
 def _below_leader_degrees(g, lam):
     """Each upper leader of a generator appears in g only below that
     generator's leader degree."""
-    return all(g.degree_in(f.leader(PLUS)) < f.leader_degree(PLUS) for f in lam)
+    return all(g.degree_in(up) < f.degree_in(up) for f in lam for up in [f.leader(PLUS)])
 
 
 def is_reduced_sequence(alg, lam, max_gap=DEFAULT_MAX_GAP):
@@ -308,12 +308,13 @@ def verify_certificate(alg, cert):
         return False
     lhs = cert.input
     for f, ex in zip(cert.generators, cert.multipliers):
+        upper = f.leader(PLUS) if ex.initial or ex.sep_plus else None
         if ex.initial:
-            lhs = lhs * f.initial(PLUS) ** ex.initial
+            lhs = lhs * f.expand_in(upper)[f.degree_in(upper)] ** ex.initial
         if ex.sep_plus:
-            lhs = lhs * f.separant(PLUS) ** ex.sep_plus
+            lhs = lhs * f.derivative(upper) ** ex.sep_plus
         if ex.sep_minus:
-            lhs = lhs * f.separant(MINUS) ** ex.sep_minus
+            lhs = lhs * f.derivative(f.leader(MINUS)) ** ex.sep_minus
     rhs = cert.remainder
     for term in cert.terms:
         f = cert.generators[term.gen]

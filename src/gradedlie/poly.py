@@ -8,38 +8,37 @@ algebra's basis order: only leaders read it (Polynomial.leader and rank
 here, the decisions in leaders.py and the reducer in elim.py), and
 textio.print_poly, which prints each monomial's factors in basis order.
 
-A polynomial stores {monomial: coefficient} with no zero values plus the
-algebra it lives over; a coefficient is an int while it is integral, else
-a Fraction in lowest terms.  Sums and scalar multiples
-accumulate through algebras.lie_add.  Products and Poisson brackets are
-accumulated in plain ints: each operand's coefficients (and each
-structure constant used) are first cleared to integer numerators over one
-common denominator, every term pair then adds an int product into one
-int-valued accumulator, and each output term is divided by the common
-denominator once, at the end.  A product of two operands of several
-terms each packs every monomial into one int, one bit field per
-variable (Monagan & Pearce's packed exponent vectors), so a product of
-monomials is one int sum; each output code is decoded back to its
-monomial as it is divided.  The stored form stays the monomial tuple.
-A product with a one-term operand merges the sorted tuples instead,
-since its pairs never meet on a monomial.  The Poisson bracket extends
-the Lie bracket to this symmetric algebra as a biderivation, and one loop
-makes it: _bracket_into adds cofactor * {f, b} into the accumulator, for a
-basis element b and a monomial cofactor.  pb_with_var calls it once, with
-the empty cofactor.  poisson_bracket calls it once for each term d*n of g
-and each factor b^y of n, with cofactor n/b and f's terms scaled by d*y.
-Neither builds a partial-derivative polynomial.  The operator D_t
-iterates the bracket along a DTuple t: d_op on polynomials, d_bracket and
-d_leader on basis elements.  A DTuple made by its constructor checks its
-entries; leaders.iter_tuples makes its tuples through _trusted_dtuple,
-without checking them again: each entry comes from an enumerated
-component, whole or grouped by multidegree.
+A polynomial stores its algebra, a content and a primitive part: a
+positive rational (an int when integral) times {monomial: int} with no
+zero value and gcd 1, so the signs live in the part and each polynomial
+has one stored form (zero: content 0, empty part).  By Gauss's lemma
+(Knuth, TAOCP vol. 2, 4.6.1) a product of primitive parts is primitive,
+so products, scalar multiples, negation and powers multiply the contents
+and run an int kernel that divides nothing.  Sums, brackets (over one
+common denominator of their structure constants), derivatives and the
+parts of expand_in take one gcd pass, _split, over an int accumulator.
+A product of two operands of several terms each packs every monomial
+into one int, one bit field per variable (Monagan & Pearce's packed
+exponent vectors), so a product of monomials is one int sum; one with a
+one-term operand merges the sorted tuples, as its pairs never meet on a
+monomial.  The Poisson bracket extends the Lie bracket to this symmetric
+algebra as a biderivation, and one loop makes it: _bracket_into adds
+cofactor * {f, b} into the accumulator, for a basis element b and a
+monomial cofactor.  pb_with_var calls it once, with the empty cofactor.
+poisson_bracket calls it once for each term d*n of g and each factor
+b^y of n, with cofactor n/b and f's terms scaled by d*y.  Neither builds
+a partial-derivative polynomial.  The operator D_t iterates the bracket
+along a DTuple t: d_op on polynomials, d_bracket and d_leader on basis
+elements.  A DTuple made by its constructor checks its entries;
+leaders.iter_tuples makes its tuples through _trusted_dtuple, without
+checking them again: each entry comes from an enumerated component,
+whole or grouped by multidegree.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import NamedTuple
 
 from .algebras import (
@@ -48,7 +47,6 @@ from .algebras import (
     bracket_basis,
     bracket_lie,
     degree,
-    lie_add,
     lie_extreme,
     order_key,
     validate_element,
@@ -105,54 +103,50 @@ def _merge(m1, m2):
     return tuple(out) + m1[i:] + m2[j:]
 
 
-def _common_den(values):
-    """The least common multiple of the denominators of int or Fraction
-    values."""
-    den = 1
-    for c in values:
-        if type(c) is not int:
-            den = lcm(den, c.denominator)
-    return den
+def _ratio(n, d):
+    """n / d for ints n and d > 0: an int when integral, else a Fraction."""
+    return Fraction(n, d) if n % d else n // d
 
 
-def _numerators(terms, den):
-    """{k: c * den} as ints, for den a multiple of every denominator of the
-    values of terms."""
-    if den == 1:
-        return terms
-    return {
-        k: c * den if type(c) is int else c.numerator * (den // c.denominator)
-        for k, c in terms.items()
-    }
+def _split(n, d, acc):
+    """(content, part) of n/d * acc, for a fresh int accumulator acc: one gcd pass."""
+    g = 0
+    for c in acc.values():
+        g = gcd(g, c)
+        if g == 1:
+            return _ratio(n, d), acc if 0 not in acc.values() else {
+                k: c for k, c in acc.items() if c}
+    return _ratio(n * g, d), {k: c // g for k, c in acc.items() if c}
 
 
-def _over(acc, den):
-    """{k: c / den} for the nonzero int values c of acc: an int when it is
-    integral, else a Fraction in lowest terms."""
-    if den == 1:
-        return {k: c for k, c in acc.items() if c}
-    return {k: Fraction(c, den) if c % den else c // den for k, c in acc.items() if c}
+def _poly(alg, content, prim):
+    """The polynomial content * prim, both already in stored form."""
+    out = Polynomial.__new__(Polynomial)
+    out.alg, out.content, out.prim = alg, content, prim
+    return out
 
 
-def _packed_product(t1, t2, den):
-    """{monomial: coefficient} of the product of the int-coefficient terms
-    t1 and t2, divided by den.  Each monomial is packed into one int, with
-    one bit field per variable of either operand, in monomial order from
-    the lowest bits up, each field wide enough for the largest exponent sum,
-    so a product of monomials is an int sum with no carry between fields.
-    Each output code is decoded back to its monomial in the same pass that
-    divides its coefficient by den."""
+def _packed_product(t1, t2):
+    """{monomial: int} of the product of the int-coefficient terms t1 and t2,
+    each monomial packed into one int: one bit field per variable of either
+    operand, lowest bits first in monomial order, each wide enough for the
+    largest exponent sum, so a product of monomials is a carry-free int sum."""
     variables = sorted({b for t in (t1, t2) for m in t for b, _ in m})
-    top = (max(x for m in t1 for _, x in m)
-           + max(x for m in t2 for _, x in m))
+    top = (max([x for m in t1 for _, x in m])
+           + max([x for m in t2 for _, x in m]))
     width = top.bit_length()
     shift = {b: i * width for i, b in enumerate(variables)}
-    p2 = [(sum(x << shift[b] for b, x in m), c) for m, c in t2.items()]
+    codes = ([], [])
+    for t, coded in zip((t1, t2), codes):
+        for m, c in t.items():
+            k = 0
+            for b, x in m:
+                k += x << shift[b]
+            coded.append((k, c))
     acc = {}
     get = acc.get
-    for m1, c1 in t1.items():
-        k1 = sum(x << shift[b] for b, x in m1)
-        for k2, c2 in p2:
+    for k1, c1 in codes[0]:
+        for k2, c2 in codes[1]:
             k = k1 + k2
             acc[k] = get(k, 0) + c1 * c2
     mask = (1 << width) - 1
@@ -166,19 +160,21 @@ def _packed_product(t1, t2, den):
                 if k & mask:
                     m.append((b, k & mask))
                 k >>= width
-            out[tuple(m)] = Fraction(c, den) if c % den else c // den
+            out[tuple(m)] = c
     return out
 
 
 class Polynomial:
-    """Immutable-by-convention sparse polynomial over Q, with int or
-    Fraction coefficients."""
+    """Immutable-by-convention sparse polynomial over Q: content * prim."""
 
-    __slots__ = ("alg", "terms")
+    __slots__ = ("alg", "content", "prim")
 
     def __init__(self, alg, terms=()):
+        terms = dict(terms)
+        den = lcm(*[c.denominator for c in terms.values()])
         self.alg = alg
-        self.terms = lie_add({}, dict(terms))
+        self.content, self.prim = _split(1, den, {
+            m: c.numerator * (den // c.denominator) for m, c in terms.items()})
 
     @classmethod
     def zero(cls, alg):
@@ -198,43 +194,55 @@ class Polynomial:
         """Degree-one polynomial from a Lie element."""
         return cls(alg, {mono([(b, 1)]): c for b, c in v.items()})
 
+    @property
+    def terms(self):
+        """{monomial: coefficient}, built on each read: no zero value, an int
+        when integral, else a Fraction in lowest terms."""
+        n, d = self.content.numerator, self.content.denominator
+        return {m: _ratio(n * k, d) for m, k in self.prim.items()}
+
     def is_zero(self):
-        return not self.terms
+        return not self.prim
 
     def is_constant(self):
-        return all(not m for m in self.terms)
+        return all(not m for m in self.prim)
 
     def constant_value(self):
         return self.terms.get((), 0)
 
     def variables(self):
         """Set of basis elements occurring in some monomial."""
-        return {b for m in self.terms for b, _ in m}
+        return {b for m in self.prim for b, _ in m}
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Polynomial)
-            and self.alg == other.alg
-            and self.terms == other.terms
-        )
+        return (isinstance(other, Polynomial) and self.alg == other.alg
+                and self.content == other.content and self.prim == other.prim)
 
     __hash__ = None
 
-    def _with_terms(self, t):
-        out = Polynomial(self.alg)
-        out.terms = t
-        return out
-
     def __neg__(self):
-        return self._with_terms({m: -c for m, c in self.terms.items()})
+        return _poly(self.alg, self.content, {m: -c for m, c in self.prim.items()})
 
     def _plus(self, other, c):
+        """self + c * other, for c 1 or -1, over one common denominator."""
         if isinstance(other, (int, Fraction)):
             other = Polynomial.const(self.alg, other)
         elif not isinstance(other, Polynomial):
             return NotImplemented
         _check_same(self.alg, other)
-        return self._with_terms(lie_add(dict(self.terms), other.terms, c))
+        p, q = self.content, other.content
+        if not q:
+            return self
+        den = lcm(p.denominator, q.denominator)
+        a = p.numerator * (den // p.denominator)
+        b = c * q.numerator * (den // q.denominator)
+        g = gcd(a, b)
+        a, b = a // g, b // g
+        acc = dict(self.prim) if a == 1 else {m: a * k for m, k in self.prim.items()}
+        get = acc.get
+        for m, k in other.prim.items():
+            acc[m] = get(m, 0) + b * k
+        return _poly(self.alg, *_split(g, den, acc))
 
     def __add__(self, other):
         return self._plus(other, 1)
@@ -249,21 +257,20 @@ class Polynomial:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self._with_terms(lie_add({}, self.terms, other))
-        if not isinstance(other, Polynomial):
+            other = Polynomial.const(self.alg, other)
+        elif not isinstance(other, Polynomial):
             return NotImplemented
         _check_same(self.alg, other)
-        d1 = _common_den(self.terms.values())
-        d2 = _common_den(other.terms.values())
-        t1 = _numerators(self.terms, d1)
-        t2 = _numerators(other.terms, d2)
+        t1, t2 = self.prim, other.prim
         if len(t1) > 1 and len(t2) > 1:
-            return self._with_terms(_packed_product(t1, t2, d1 * d2))
-        # One operand has at most one term, so distinct term pairs give
-        # distinct monomials: no pair adds into another's.
-        acc = {_merge(m1, m2): c1 * c2
-               for m1, c1 in t1.items() for m2, c2 in t2.items()}
-        return self._with_terms(_over(acc, d1 * d2))
+            prim = _packed_product(t1, t2)
+        else:
+            # One operand has at most one term, so distinct term pairs give
+            # distinct monomials: no pair adds into another's.
+            prim = {_merge(m1, m2): c1 * c2 for m1, c1 in t1.items() for m2, c2 in t2.items()}
+        p, q = self.content, other.content
+        return _poly(self.alg, _ratio(p.numerator * q.numerator, p.denominator * q.denominator),
+                     prim)
 
     __rmul__ = __mul__
 
@@ -297,7 +304,7 @@ class Polynomial:
     def degree_in(self, b):
         """Largest exponent of basis element b in any monomial."""
         out = 0
-        for m in self.terms:
+        for m in self.prim:
             for bb, x in m:
                 if bb == b:
                     out = max(out, x)
@@ -309,7 +316,7 @@ class Polynomial:
     def expand_in(self, b):
         """L-adic expansion {j: coefficient polynomial} in the variable b."""
         out = {}
-        for m, c in self.terms.items():
+        for m, c in self.prim.items():
             j = 0
             rest = []
             for bb, xx in m:
@@ -318,18 +325,19 @@ class Polynomial:
                 else:
                     rest.append((bb, xx))
             out.setdefault(j, {})[tuple(rest)] = c
-        return {j: self._with_terms(t) for j, t in out.items()}
+        n, d = self.content.numerator, self.content.denominator
+        return {j: _poly(self.alg, *_split(n, d, t)) for j, t in out.items()}
 
     def derivative(self, b):
         """Formal partial derivative with respect to basis element b."""
         t = {}
-        for m, c in self.terms.items():
+        for m, c in self.prim.items():
             for pos, (bb, xx) in enumerate(m):
                 if bb == b:
                     rest = m[:pos] + ((bb, xx - 1),) + m[pos + 1 :]
                     rest = tuple(p for p in rest if p[1])
                     t[rest] = t.get(rest, 0) + c * xx
-        return Polynomial(self.alg, t)
+        return _poly(self.alg, *_split(self.content.numerator, self.content.denominator, t))
 
     def initial(self, sign):
         """Coefficient of the highest power of the leader."""
@@ -357,10 +365,10 @@ def _bracket_table(alg, variables, others):
         for b in others:
             br = bracket_basis(alg, a, b)
             if br:
-                table[a, b] = {((e, 1),): n for e, n in br.items()}
-                den = lcm(den, _common_den(br.values()))
-    if den != 1:
-        table = {ab: _numerators(br, den) for ab, br in table.items()}
+                table[a, b] = br
+                den = lcm(den, *[n.denominator for n in br.values()])
+    for ab, br in table.items():
+        table[ab] = {((e, 1),): n.numerator * (den // n.denominator) for e, n in br.items()}
     return table, den
 
 
@@ -387,16 +395,15 @@ def poisson_bracket(f, g):
     g and each factor b^y of n add d*y * (n/b) * {f, b}."""
     _check_same(f.alg, g)
     table, den = _bracket_table(f.alg, f.variables(), g.variables())
-    df = _common_den(f.terms.values())
-    dg = _common_den(g.terms.values())
-    tf = _numerators(f.terms, df).items()
     acc = {}
-    for n, d in _numerators(g.terms, dg).items():
+    for n, d in g.prim.items():
         for i, (b, y) in enumerate(n):
             cofactor = n[:i] + ((b, y - 1),) + n[i + 1 :] if y > 1 else n[:i] + n[i + 1 :]
             dy = d * y
-            _bracket_into(acc, [(m, c * dy) for m, c in tf], b, cofactor, table)
-    return f._with_terms(_over(acc, df * dg * den))
+            _bracket_into(acc, [(m, c * dy) for m, c in f.prim.items()], b, cofactor, table)
+    p, q = f.content, g.content
+    return _poly(f.alg, *_split(p.numerator * q.numerator,
+                                p.denominator * q.denominator * den, acc))
 
 
 class _DTupleFields(NamedTuple):
@@ -448,10 +455,9 @@ def _trusted_dtuple(alg, entries, sign):
 def pb_with_var(f, b):
     """{f, b} for a single basis element b."""
     table, den = _bracket_table(f.alg, f.variables(), (b,))
-    df = _common_den(f.terms.values())
     acc = {}
-    _bracket_into(acc, _numerators(f.terms, df).items(), b, (), table)
-    return f._with_terms(_over(acc, df * den))
+    _bracket_into(acc, f.prim.items(), b, (), table)
+    return _poly(f.alg, *_split(f.content.numerator, f.content.denominator * den, acc))
 
 
 def d_op(f, t):

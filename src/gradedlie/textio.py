@@ -25,6 +25,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from math import gcd
 
 from .algebras import (
     ELEMENT_GRAMMAR,
@@ -220,21 +221,18 @@ def print_poly(f):
     variables = f.variables()
     key = {b: order_key(alg, b) for b in variables}
     name = {b: element_to_str(alg, b) for b in variables}
+    n, d = f.content.numerator, f.content.denominator
     rows = []
-    for m, c in f.terms.items():
+    for m, c in f.prim.items():
         factors = sorted(m, key=lambda p: key[p[0]], reverse=True)
         rows.append(([(key[b], x) for b, x in factors], factors, c))
     rows.sort(key=lambda row: row[0], reverse=True)
     parts = []
     for _, factors, c in rows:
         body = "*".join([name[b] + ("^%d" % x if x > 1 else "") for b, x in factors])
-        mag = abs(c)
-        if not body:
-            chunk = str(mag)
-        elif mag == 1:
-            chunk = body
-        else:
-            chunk = "%s*%s" % (mag, body)
+        g = gcd(c, d)  # the gcd of |c| * n and d, as n and d are coprime
+        mag = str(abs(c) // g * n) if g == d else "%d/%d" % (abs(c) // g * n, d // g)
+        chunk = mag if not body else body if mag == "1" else mag + "*" + body
         if not parts:
             parts.append(("-" if c < 0 else "") + chunk)
         else:

@@ -1,19 +1,48 @@
-"""Reference formulas for the product, the Poisson bracket and the
-separant substitution.
+"""Reference formulas for sums, products, derivatives, expansions, the
+Poisson bracket and the separant substitution.
 
 These are the plain textbook formulas the kernels of gradedlie.poly and
-the elimination step of gradedlie.elim replace: a product made one term
-pair at a time in Fraction arithmetic, brackets made through
-partial-derivative polynomials, and the substitution as its two sums of
-powers.  They use neither Polynomial.__mul__ nor poly.pb_with_var, so the
-tests can compare the kernels against code that shares none of their
-arithmetic.
+the elimination step of gradedlie.elim replace: sums, products,
+derivatives and expansions made one term at a time in Fraction
+arithmetic from the coefficients of the terms view, brackets made
+through partial-derivative polynomials, and the substitution as its two
+sums of powers.  They use no arithmetic of Polynomial or of
+poly.pb_with_var, only its constructor, so the tests can compare the
+kernels against code that shares none of their arithmetic.
 """
 
 from fractions import Fraction
 
 from gradedlie import Polynomial, bracket_basis
 from gradedlie.poly import mono
+
+
+def reference_add(f, g, c=1):
+    """f + c*g: each term adds one Fraction to its monomial."""
+    t = {m: Fraction(v) for m, v in f.terms.items()}
+    for m, v in g.terms.items():
+        t[m] = t.get(m, 0) + c * Fraction(v)
+    return Polynomial(f.alg, t)
+
+
+def reference_derivative(f, b):
+    """df/db: each term with the factor b^x gives x times its cofactor."""
+    t = {}
+    for m, c in f.terms.items():
+        x = dict(m).get(b, 0)
+        if x:
+            rest = mono([(a, y - (a == b)) for a, y in m])
+            t[rest] = t.get(rest, 0) + x * Fraction(c)
+    return Polynomial(f.alg, t)
+
+
+def reference_expand_in(f, b):
+    """{j: the coefficient polynomial of b^j in f}."""
+    out = {}
+    for m, c in f.terms.items():
+        j = dict(m).get(b, 0)
+        out.setdefault(j, {})[mono([p for p in m if p[0] != b])] = Fraction(c)
+    return {j: Polynomial(f.alg, t) for j, t in out.items()}
 
 
 def reference_mul(f, g):
@@ -33,7 +62,8 @@ def reference_pb_with_var(f, b):
     for a in f.variables():
         br = bracket_basis(alg, a, b)
         if br:
-            out = out + reference_mul(f.derivative(a), Polynomial.from_lie(alg, br))
+            out = reference_add(out, reference_mul(reference_derivative(f, a),
+                                                   Polynomial.from_lie(alg, br)))
     return out
 
 
@@ -41,7 +71,8 @@ def reference_poisson_bracket(f, g):
     """{f, g} as the sum over the variables b of g of dg/db * {f, b}."""
     out = Polynomial.zero(f.alg)
     for b in g.variables():
-        out = out + reference_mul(g.derivative(b), reference_pb_with_var(f, b))
+        out = reference_add(out, reference_mul(reference_derivative(g, b),
+                                               reference_pb_with_var(f, b)))
     return out
 
 
@@ -59,8 +90,8 @@ def reference_substitution(parts, s, b):
     r = max(parts)
     out = Polynomial.zero(s.alg)
     for j, hj in parts.items():
-        out = out + reference_mul(reference_mul(hj, reference_power(s, r - j)),
-                                  reference_power(b, j))
+        out = reference_add(out, reference_mul(reference_mul(hj, reference_power(s, r - j)),
+                                               reference_power(b, j)))
     return out
 
 
@@ -72,6 +103,8 @@ def reference_quotient(parts, s, sv, b):
     for j, hj in parts.items():
         inner = Polynomial.zero(s.alg)
         for u in range(j):
-            inner = inner + reference_mul(reference_power(sv, u), reference_power(b, j - 1 - u))
-        out = out + reference_mul(reference_mul(hj, reference_power(s, r - j)), inner)
+            inner = reference_add(inner, reference_mul(reference_power(sv, u),
+                                                       reference_power(b, j - 1 - u)))
+        out = reference_add(out, reference_mul(reference_mul(hj, reference_power(s, r - j)),
+                                               inner))
     return out

@@ -1,6 +1,7 @@
 """Sparse polynomials, leaders, ranks, Poisson brackets, D-operators."""
 
 import copy
+import math
 import operator
 import pickle
 import random
@@ -26,10 +27,19 @@ from gradedlie import (
 )
 from gradedlie.algebras import Z, algebra_to_str, dh, e, lie_extreme, sa, sb
 from gradedlie.poly import _trusted_dtuple, d_bracket, mono, pb_with_var
+from gradedlie.textio import print_poly
 from helpers import (
     ALL_ALGEBRAS, H2, H4, P, S2, S3, VIR, W2, WITT, WITT_POS, random_poly, window_basis,
 )
-from poly_reference import reference_mul, reference_pb_with_var, reference_poisson_bracket
+from poly_reference import (
+    reference_add,
+    reference_derivative,
+    reference_expand_in,
+    reference_mul,
+    reference_pb_with_var,
+    reference_poisson_bracket,
+    reference_power,
+)
 
 
 @pytest.fixture
@@ -225,6 +235,152 @@ class TestKernelsMatchReference:
             got = poisson_bracket(f, g)
             assert got == reference_poisson_bracket(f, g), (f, g)
             assert_canonical(got)
+
+
+def assert_stored(p):
+    """The stored form: a positive content (an int when integral) and a
+    primitive int part, with no zero value and gcd 1; or, for the zero
+    polynomial, content 0 and an empty part."""
+    if not p.prim:
+        assert p.content == 0 and type(p.content) is int
+        return
+    assert p.content > 0, p.content
+    assert type(p.content) is int or p.content.denominator != 1, p.content
+    assert all(type(c) is int and c for c in p.prim.values()), p.prim
+    assert math.gcd(*p.prim.values()) == 1, p.prim
+
+
+# Coefficients drawn for the property tests below: nonzero ints, Fractions
+# (zero and integral ones included), or one operand of each; every
+# coefficient of an operand is then scaled by one common factor, so that
+# contents other than 1 and integral sums of Fractions come up.
+SCALES = [1, 6, -4, Fraction(1, 3), Fraction(-5, 12)]
+
+
+@st.composite
+def kernel_cases(draw):
+    """(f, g, b, c): two polynomials over one algebra of KERNEL_ALGEBRAS,
+    with int, Fraction or mixed coefficients; a basis element b of the
+    algebra's window, often one of f's variables; and a scalar c."""
+    alg = draw(st.sampled_from(KERNEL_ALGEBRAS))
+    kind = draw(st.sampled_from(COEFFICIENTS))
+    pool = window_basis(alg)
+
+    def poly(integral):
+        terms = {}
+        scale = draw(st.sampled_from(SCALES))
+        for _ in range(draw(st.integers(0, 5))):
+            pairs = draw(st.lists(st.tuples(st.sampled_from(pool), st.integers(1, 3)),
+                                  max_size=3))
+            if integral:
+                c = draw(st.integers(-9, 9).filter(bool))
+            else:
+                c = Fraction(draw(st.integers(-9, 9)), draw(st.integers(1, 12)))
+            terms[mono(pairs)] = c * scale
+        return Polynomial(alg, terms)
+
+    f, g = poly(kind == "int"), poly(kind != "fraction")
+    b = draw(st.sampled_from(sorted(f.variables()) or pool) if draw(st.booleans())
+             else st.sampled_from(pool))
+    c = draw(st.sampled_from([0, 1, -1, 3, -6, Fraction(2, 3), Fraction(-7, 4)]))
+    return f, g, b, c
+
+
+PROPERTY_SETTINGS = settings(max_examples=80, deadline=None, derandomize=True, database=None)
+
+
+class TestStoredForm:
+    """Every operation agrees with the reference formulas, and leaves its
+    result in the stored form."""
+
+    @PROPERTY_SETTINGS
+    @given(kernel_cases())
+    def test_sums_and_scalar_multiples(self, case):
+        f, g, _, c = case
+        for got, want in [(f + g, reference_add(f, g)), (f - g, reference_add(f, g, -1)),
+                          (g - f, reference_add(g, f, -1)), (f - f, Polynomial.zero(f.alg)),
+                          (-f, reference_add(Polynomial.zero(f.alg), f, -1)),
+                          (f * c, reference_add(Polynomial.zero(f.alg), f, c)),
+                          (c * f, reference_add(Polynomial.zero(f.alg), f, c)),
+                          (f + c, reference_add(f, Polynomial.const(f.alg, c))),
+                          (c - f, reference_add(Polynomial.const(f.alg, c), f, -1))]:
+            assert got == want, (f, g, c)
+            assert_stored(got)
+            assert_canonical(got)
+
+    @PROPERTY_SETTINGS
+    @given(kernel_cases())
+    def test_products_and_powers(self, case):
+        f, g, _, _ = case
+        assert_stored(f)
+        for got, want in [(f * g, reference_mul(f, g)), (g * f, reference_mul(f, g))] + [
+                (f**k, reference_power(f, k)) for k in range(4)]:
+            assert got == want, (f, g)
+            assert_stored(got)
+            assert_canonical(got)
+
+    @PROPERTY_SETTINGS
+    @given(kernel_cases())
+    def test_derivatives_and_expansions(self, case):
+        f, _, b, _ = case
+        got = f.derivative(b)
+        assert got == reference_derivative(f, b), (f, b)
+        assert_stored(got)
+        parts = f.expand_in(b)
+        assert parts == reference_expand_in(f, b), (f, b)
+        for part in parts.values():
+            assert_stored(part)
+            assert_canonical(part)
+
+    @PROPERTY_SETTINGS
+    @given(kernel_cases())
+    def test_brackets(self, case):
+        f, g, b, _ = case
+        for got, want in [(pb_with_var(f, b), reference_pb_with_var(f, b)),
+                          (poisson_bracket(f, g), reference_poisson_bracket(f, g))]:
+            assert got == want, (f, g, b)
+            assert_stored(got)
+            assert_canonical(got)
+
+
+class TestCanonicalForm:
+    """One polynomial has one stored form, whichever way it is made."""
+
+    TEXT = "-3/2*e[2]*e[1] + 1/2*e[2]*e[-1] + 9/4*e[1] - 3/4*e[-1]"
+    NEGATED = "3/2*e[2]*e[1] - 1/2*e[2]*e[-1] - 9/4*e[1] + 3/4*e[-1]"
+
+    def test_every_build_is_equal_and_prints_alike(self):
+        want = P(WITT, self.TEXT)
+        assert want.content == Fraction(1, 4)
+        assert want.prim == {mono([(e(2), 1), (e(1), 1)]): -6, mono([(e(2), 1), (e(-1), 1)]): 2,
+                             mono([(e(1), 1)]): 9, mono([(e(-1), 1)]): -3}
+        built = {
+            "packed product": P(WITT, "1/2*e[2] - 3/4") * P(WITT, "-3*e[1] + e[-1]"),
+            "one-term product": P(WITT, "-1/4") * P(WITT, "6*e[2]*e[1] - 2*e[2]*e[-1] - 9*e[1]"
+                                                          " + 3*e[-1]"),
+            "cancelling sum": P(WITT, "-3/2*e[2]*e[1] + 1/2*e[2]*e[-1] + 7*e[3]^2 + 1/5")
+            + P(WITT, "9/4*e[1] - 3/4*e[-1] - 7*e[3]^2 - 1/5"),
+            "negative multiple": P(WITT, "12*e[2]*e[1] - 4*e[2]*e[-1] - 18*e[1] + 6*e[-1]")
+            * Fraction(-1, 8),
+        }
+        for how, f in built.items():
+            assert f == want, how
+            assert (f.content, f.prim) == (want.content, want.prim), how
+            assert print_poly(f) == self.TEXT, how
+            assert_stored(f)
+
+    def test_negation_keeps_the_content_positive(self):
+        f = P(WITT, self.TEXT)
+        for g in (-f, f * -1, -1 * f, Polynomial.zero(WITT) - f, 0 - f):
+            assert g.content == f.content and g == P(WITT, self.NEGATED)
+            assert print_poly(g) == self.NEGATED
+
+    def test_zero_has_one_form(self):
+        f = P(WITT, self.TEXT)
+        for z in (f - f, f * 0, f * Polynomial.zero(WITT), P(WITT, "0"),
+                  Polynomial(WITT, {mono([(e(1), 1)]): Fraction(0)})):
+            assert (z.content, z.prim) == (0, {})
+            assert z == Polynomial.zero(WITT) and print_poly(z) == "0"
 
 
 def power_sum(alg, elements, exp):
